@@ -18,6 +18,17 @@ log-likelihood
 with the first ``burn_in`` terms dropped: S has rank at most t - 1, so the
 early terms are singular by construction.  ``estimate_alpha`` grid-searches
 this likelihood; it is cheap, one-dimensional, and fully deterministic.
+
+The whole grid is scored in one pass over the rows: the moments of all G
+decays advance together as (G, p) means and (G, p, p) covariances, and each
+scored row factors all G covariances with one batched Cholesky.  Grids whose
+(G, p, p) working set would exceed ``_GRID_BLOCK_BYTES`` are scored in
+blocks of decays.  ``ewm_loglik`` is the same computation with G = 1; the
+decays are independent and the arithmetic is elementwise, so a curve entry
+equals the standalone value bit for bit whatever the grid or its blocking.
+A covariance that cannot be factored raises ``SingularCovarianceError``
+with the earliest failing observation ``t`` and, of the decays failing
+there, the ``alpha`` lowest in the grid.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import as_matrix, as_vector
 
@@ -40,12 +50,23 @@ __all__ = [
 ]
 
 
-class SingularCovarianceError(RuntimeError):
-    """The moving covariance could not be factorized at some observation."""
+# Bytes that the (G, p, p) arrays of one block of decays may hold: the
+# covariances, their rank-one updates and their Cholesky factors, three at a
+# time (a block always holds at least one decay).  At p = 100 the default
+# 500-value grid would need 120 MB at once; it runs in blocks of 139.
+_GRID_BLOCK_BYTES = 32 * 2**20
 
-    def __init__(self, t: int):
+
+class SingularCovarianceError(RuntimeError):
+    """The moving covariance of decay ``alpha`` could not be factorized when
+    scoring observation ``t`` (1-based)."""
+
+    def __init__(self, t: int, alpha: float):
         self.t = t
-        super().__init__(f"moving covariance matrix is singular at observation t={t}")
+        self.alpha = alpha
+        super().__init__(
+            f"moving covariance matrix is singular at observation t={t} (alpha={alpha})"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,81 @@ def ewm_update(state: EwmState, x) -> EwmState:
     return EwmState(alpha=a, mean=mean, cov=cov, count=state.count + 1)
 
 
+def _check_burn_in(burn_in: int | None, p: int) -> int:
+    if burn_in is None:
+        return 10 * p
+    burn_in = int(burn_in)
+    if burn_in < p + 1:
+        raise ValueError(
+            f"burn_in must be at least p + 1 = {p + 1} (S_t has rank < p before "
+            f"that), got {burn_in}"
+        )
+    return burn_in
+
+
+def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
+    """Sum of ln det S_{t-1} + e^T S_{t-1}^{-1} e over t > burn_in, per decay.
+
+    Returns the (G,) sums and None, or, at the first row whose factorization
+    fails, the partial sums and (t, lowest failing index into ``alphas``).
+    The recursions repeat ``ewm_update``'s elementwise arithmetic exactly.
+    """
+    n, p = mat.shape
+    a = alphas[:, None]
+    b = 1.0 - a
+    a3 = a[:, :, None]
+    b3 = b[:, :, None]
+    mean = np.repeat(mat[:1], alphas.shape[0], axis=0)
+    cov = np.zeros((alphas.shape[0], p, p))
+    total = np.zeros(alphas.shape[0])
+    for t in range(2, n + 1):
+        x_t = mat[t - 1]
+        if t > burn_in:
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                # cold path: name the lowest decay that fails at this row
+                for k in range(alphas.shape[0]):
+                    try:
+                        np.linalg.cholesky(cov[k])
+                    except np.linalg.LinAlgError:
+                        return total, (t, k)
+                raise
+            e = x_t - mean
+            y = np.linalg.solve(chol, e[:, :, None])[:, :, 0]
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            total += logdet + (y * y).sum(axis=1)
+            del chol  # keeps at most three (G, p, p) arrays alive
+        mean = b * x_t + a * mean
+        d = x_t - mean
+        rank_one = d[:, :, None] * d[:, None, :]
+        rank_one *= b3
+        cov *= a3
+        cov += rank_one
+    return total, None
+
+
+def _loglik_curve(mat: np.ndarray, grid: np.ndarray, burn_in: int) -> np.ndarray:
+    """ln L for every decay of a validated grid, in blocks of at most
+    ``_GRID_BLOCK_BYTES``.  On failure raises for the earliest failing t and,
+    among the decays failing there, the lowest grid index."""
+    p = mat.shape[1]
+    size = max(1, _GRID_BLOCK_BYTES // (3 * 8 * p * p))
+    curve = np.empty(grid.shape[0])
+    failure = None
+    for lo in range(0, grid.shape[0], size):
+        # after a failure at t only an earlier one can replace it, and a later
+        # block fails at the same t with a higher index, so stop before t
+        rows = mat if failure is None else mat[: failure[0] - 1]
+        total, block_failure = _score_block(rows, grid[lo : lo + size], burn_in)
+        if block_failure is not None:
+            failure = (block_failure[0], lo + block_failure[1])
+        curve[lo : lo + size] = -0.5 * total
+    if failure is not None:
+        raise SingularCovarianceError(failure[0], float(grid[failure[1]]))
+    return curve
+
+
 def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
     """Gaussian log-likelihood of the decay, up to an additive constant.
 
@@ -108,35 +204,19 @@ def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
 
     Terms with t <= burn_in are dropped (default burn_in: 10 p): the moving
     covariance has rank at most t - 1, so early terms are singular by
-    construction.  Factorizations are symmetric (Cholesky) and a failure
-    raises SingularCovarianceError rather than regularizing silently: a ridge
-    term would bias the fitted decay.
+    construction.  Factorizations are symmetric (Cholesky): ln det S is twice
+    the sum of the logs of the factor's diagonal, and the quadratic term is
+    |L^{-1} e|^2.  A failure raises SingularCovarianceError, carrying the
+    observation ``t`` and the decay ``alpha``, rather than regularizing
+    silently: a ridge term would bias the fitted decay.
+
+    This is ``estimate_alpha``'s grid computation with a one-value grid, so
+    ``estimate_alpha(x, grid)[1][i] == ewm_loglik(x, grid[i])`` bit for bit.
     """
     mat = as_matrix(x, "X")
-    n, p = mat.shape
-    if burn_in is None:
-        burn_in = 10 * p
-    burn_in = int(burn_in)
-    if burn_in < p + 1:
-        raise ValueError(
-            f"burn_in must be at least p + 1 = {p + 1} (S_t has rank < p before "
-            f"that), got {burn_in}"
-        )
-    state = ewm_init(mat[0], alpha)
-    total = 0.0
-    for t in range(2, n + 1):
-        x_t = mat[t - 1]
-        if t > burn_in:
-            try:
-                factor = cho_factor(state.cov, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as err:
-                raise SingularCovarianceError(t) from err
-            e = x_t - state.mean
-            logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-            quad = float(e @ cho_solve(factor, e, check_finite=False))
-            total += logdet + quad
-        state = ewm_update(state, x_t)
-    return -0.5 * total
+    burn_in = _check_burn_in(burn_in, mat.shape[1])
+    grid = np.array([_check_alpha(alpha)])
+    return float(_loglik_curve(mat, grid, burn_in)[0])
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -150,7 +230,10 @@ def estimate_alpha(
     """Grid-search ML estimate of the decay.
 
     Returns the argmax (lowest index wins exact ties, per np.argmax) and the
-    full likelihood curve in grid order.
+    full likelihood curve in grid order.  All decays are scored in one pass
+    over the rows (see ``ewm_loglik``); if any covariance is singular, the
+    error names the earliest failing observation and, among the decays that
+    fail there, the one with the lowest grid index.
     """
     mat = as_matrix(x, "X")
     grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)
@@ -160,6 +243,6 @@ def estimate_alpha(
         raise ValueError("grid values must lie strictly between 0 and 1")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be sorted in ascending order")
-    curve = np.array([ewm_loglik(mat, a, burn_in) for a in grid])
+    curve = _loglik_curve(mat, grid, _check_burn_in(burn_in, mat.shape[1]))
     best = int(np.argmax(curve))
     return float(grid[best]), curve

@@ -17,6 +17,21 @@ __all__ = [
 ]
 
 
+# Largest condition number of a generator's covariance.  An uncapped spectrum
+# ratio**(p-1) cannot be Cholesky-factored in double precision once it nears
+# 1e16: with ratio 3, stationary_gaussian(n, p, seed=0) raised LinAlgError
+# from p = 37.
+# The cap leaves ratio 3 unchanged up to p = 26 and ratio 2 up to p = 40.
+KAPPA_MAX = 1e12
+
+
+def _capped_ratio(p: int, ratio: float) -> float:
+    """``ratio``, shrunk if needed so that ratio**(p-1) <= KAPPA_MAX."""
+    if p == 1:
+        return ratio
+    return min(ratio, KAPPA_MAX ** (1.0 / (p - 1)))
+
+
 def random_rotation(p: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix (QR of a Gaussian, signs pinned)."""
     q, r = np.linalg.qr(rng.standard_normal((p, p)))
@@ -42,11 +57,12 @@ def _draw(n: int, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def stationary_gaussian(n: int, p: int, seed: int = 0) -> np.ndarray:
-    """n i.i.d. draws from a fixed seeded covariance with well-separated spectrum."""
+    """n i.i.d. draws from a fixed seeded covariance with well-separated spectrum
+    (ratio 3 between eigenvalues, less above p = 26: see ``KAPPA_MAX``)."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     rng = np.random.default_rng(seed)
-    return _draw(n, well_separated_covariance(p, seed), rng)
+    return _draw(n, well_separated_covariance(p, seed, _capped_ratio(p, 3.0)), rng)
 
 
 def regime_switch(
@@ -82,7 +98,9 @@ def regime_switch(
     rng = np.random.default_rng(seed)
     parts = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        cov = (float(scale_step) ** k) * well_separated_covariance(p, regime_seeds[k])
+        cov = (float(scale_step) ** k) * well_separated_covariance(
+            p, regime_seeds[k], _capped_ratio(p, 3.0)
+        )
         parts.append(_draw(hi - lo, cov, rng))
     return np.vstack(parts)
 
@@ -109,5 +127,5 @@ def volatility_cluster(
     eta = rng.standard_normal(n)
     for t in range(1, n):
         h[t] = persistence * h[t - 1] + sigma_eta * eta[t]
-    base = _draw(n, well_separated_covariance(p, seed, ratio=2.0), rng)
+    base = _draw(n, well_separated_covariance(p, seed, _capped_ratio(p, 2.0)), rng)
     return base * np.exp(h)[:, None]

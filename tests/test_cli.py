@@ -349,3 +349,17 @@ def test_console_script_runs(tmp_path):
     assert out.exists()
     assert proc.stdout == ""  # data to files, diagnostics to stderr
     assert "synth" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, streampca; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

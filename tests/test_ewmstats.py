@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streampca import ewmstats
 from streampca.ewmstats import (
     SingularCovarianceError,
     default_alpha_grid,
@@ -204,6 +205,82 @@ def test_loglik_singular_names_observation():
     with pytest.raises(SingularCovarianceError) as excinfo:
         ewm_loglik(x, 0.9, burn_in=5)
     assert excinfo.value.t == 6
+
+
+def loop_loglik(x, alpha, burn_in):
+    """Row-by-row reference: fold ewm_update and factor each S_{t-1} alone."""
+    state = ewm_init(x[0], alpha)
+    total = 0.0
+    for t in range(2, x.shape[0] + 1):
+        if t > burn_in:
+            chol = np.linalg.cholesky(state.cov)
+            y = np.linalg.solve(chol, x[t - 1] - state.mean)
+            total += 2.0 * np.sum(np.log(np.diag(chol))) + y @ y
+        state = ewm_update(state, x[t - 1])
+    return -0.5 * total
+
+
+def test_grid_matches_row_by_row_reference():
+    # the batched pass sums in another order than the loop: allow a few
+    # hundred ulps of the total
+    x = volatility_cluster(400, 3, persistence=0.95, seed=12)
+    grid = np.array([0.6, 0.85, 0.9, 0.95, 0.99])
+    _, curve = estimate_alpha(x, grid, burn_in=30)
+    expected = np.array([loop_loglik(x, a, 30) for a in grid])
+    assert curve == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def zero_tail(n=1500):
+    # p = 1, ten random rows then zeros: S_t decays by alpha per row and
+    # underflows to exactly 0 near t = 1085 for alpha = 0.5, but not for
+    # alpha = 0.99 within these rows
+    x = np.zeros((n, 1))
+    x[:10, 0] = np.random.default_rng(0).standard_normal(10)
+    return x
+
+
+def test_grid_singular_names_observation_and_decay():
+    x = zero_tail()
+    with pytest.raises(SingularCovarianceError) as alone:
+        ewm_loglik(x, 0.5, burn_in=5)
+    assert np.isfinite(ewm_loglik(x, 0.99, burn_in=5))
+    with pytest.raises(SingularCovarianceError, match=r"\(alpha=0\.5\)") as excinfo:
+        estimate_alpha(x, [0.5, 0.99], burn_in=5)
+    assert excinfo.value.t == alone.value.t > 1000
+    assert excinfo.value.alpha == 0.5
+
+
+def test_grid_singular_tie_names_lowest_index():
+    # constant data: every covariance is exactly 0 at the first scored row
+    x = np.full((30, 2), 1.0)
+    with pytest.raises(SingularCovarianceError) as excinfo:
+        estimate_alpha(x, [0.8, 0.9], burn_in=5)
+    assert (excinfo.value.t, excinfo.value.alpha) == (6, 0.8)
+
+
+def test_blocked_grid_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((120, 2))
+    grid = [0.8, 0.85, 0.9, 0.95, 0.97]
+    _, whole = estimate_alpha(x, grid)
+    # two decays per block: blocks of 2, 2 and 1
+    monkeypatch.setattr(ewmstats, "_GRID_BLOCK_BYTES", 2 * 3 * 8 * 2 * 2)
+    _, blocked = estimate_alpha(x, grid)
+    assert np.array_equal(blocked, whole)
+    for g, v in zip(grid, blocked):
+        assert v == ewm_loglik(x, g)
+
+
+def test_blocked_grid_raises_like_unblocked(monkeypatch):
+    x = zero_tail()
+    grid = [0.5, 0.5, 0.99, 0.99, 0.995]
+    with pytest.raises(SingularCovarianceError) as whole:
+        estimate_alpha(x, grid, burn_in=5)
+    monkeypatch.setattr(ewmstats, "_GRID_BLOCK_BYTES", 1)
+    with pytest.raises(SingularCovarianceError) as blocked:
+        estimate_alpha(x, grid, burn_in=5)
+    assert (blocked.value.t, blocked.value.alpha) == (whole.value.t, whole.value.alpha)
+    assert str(blocked.value) == str(whole.value)
 
 
 # ---------------------------------------------------------------------------

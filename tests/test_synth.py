@@ -78,3 +78,22 @@ def test_generators_reject_empty_shapes():
     for fn in (stationary_gaussian, volatility_cluster):
         with pytest.raises(ValueError, match="positive"):
             fn(0, 3)
+
+
+def test_stationary_small_p_draws_from_uncapped_spectrum():
+    seed = 4
+    basis = np.linalg.cholesky(well_separated_covariance(9, seed))
+    expected = np.random.default_rng(seed).standard_normal((50, 9)) @ basis.T
+    assert np.array_equal(stationary_gaussian(50, 9, seed=seed), expected)
+
+
+@pytest.mark.parametrize("p", [40, 100])
+def test_generators_handle_wide_p(p):
+    # uncapped, a ratio-3 spectrum cannot be Cholesky-factored from p ~ 37
+    for x in (
+        stationary_gaussian(50, p, seed=1),
+        regime_switch(50, p, [25], seed=1),
+        volatility_cluster(50, p, seed=1),
+    ):
+        assert x.shape == (50, p)
+        assert np.isfinite(x).all()
