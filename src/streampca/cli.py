@@ -174,6 +174,10 @@ def cmd_ipca(args) -> None:
     if table.n_rows == 0:
         raise ValueError(f"{args.input}: no observation rows")
     bounds = chunk_bounds(table, args.chunk_spec)
+    last_lo, n = bounds[-1]
+    if args.chunk_spec.startswith("chunk=") and len(bounds) > 1 and n - last_lo == 1:
+        # A 1-row remainder has no sample covariance: it joins the chunk before it.
+        bounds[-2:] = [(bounds[-2][0], n)]
     model = IteratedPCA(tol=args.tol, max_iter_count=args.max_iter)
     pieces: list[np.ndarray] = []
     eigenvalues: list[list[float]] = []
@@ -434,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chunk-spec",
         required=True,
-        help="'chunk=N' for fixed row counts or 'by=year|month|day' "
-        "(needs a timestamp column)",
+        help="'chunk=N' for fixed row counts (a 1-row remainder joins the "
+        "last full chunk) or 'by=year|month|day' (needs a timestamp column)",
     )
     p.add_argument("--output", required=True, help="component series CSV to write")
     p.add_argument(

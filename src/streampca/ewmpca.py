@@ -70,6 +70,13 @@ class EwmPCA:
     tol, max_iter_count : refinement controls per observation
     warmup_rows : observations during which refinement is capped at
         WARMUP_MAX_ITER steps (only when ``max_iter_count`` is None)
+
+    Attributes
+    ----------
+    iteration_counts : refinement steps taken for each observation after
+        the first
+    truncation_count : observations whose refinement stopped at its step
+        cap (see :func:`streampca.refine.refine_to_convergence`)
     """
 
     def __init__(
@@ -97,6 +104,7 @@ class EwmPCA:
             self._basis = basis.copy()
         self._ewm: EwmState | None = None
         self.iteration_counts: list[int] = []
+        self.truncation_count = 0
 
     @property
     def seeded(self) -> bool:
@@ -161,6 +169,7 @@ class EwmPCA:
         self._ewm = state
         self._basis = basis
         self.iteration_counts.append(diagnostics.iterations)
+        self.truncation_count += diagnostics.truncated
         return centered @ basis
 
     def add_all(self, x) -> np.ndarray:

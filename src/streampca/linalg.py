@@ -7,6 +7,7 @@ eigenbases and doubles as the reference decomposition in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
 def frobenius_norm(m) -> float:
     """sqrt of the sum of squared entries.  No finiteness check: hot path."""
     arr = np.asarray(m, dtype=np.float64)
-    return float(np.sqrt(np.sum(arr * arr)))
+    return math.sqrt((arr * arr).sum())
 
 
 def fix_column_signs(v) -> np.ndarray:

@@ -28,6 +28,7 @@ power-iteration 2-norm estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,15 @@ __all__ = [
     "refine_to_convergence",
 ]
 
-# Step norms growing past this multiple of the first step norm abort the loop:
-# without a cap the iteration would otherwise happily loop forever on inputs
-# outside its convergence region (e.g. a rank-deficient covariance fed with a
-# stale basis).
+# Step norms growing past this multiple of the first step norm abort the loop
+# early on inputs outside its convergence region (e.g. a rank-deficient
+# covariance fed with a stale basis).
 DIVERGENCE_FACTOR = 1e6
+
+# Step cap used when the caller sets none.  Step norms that stay bounded
+# without contracting would otherwise neither converge nor trip the
+# divergence guard; hitting the cap is reported as ``truncated=True``.
+MAX_ITER = 100
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +85,21 @@ def _check_pair(a: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a, xhat
 
 
+def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
+    """Unchecked core of :func:`estimate_eigenvalues`: (lambda, R, S) for
+    float64 arrays of matching square shape, ``eye`` the identity of that size."""
+    r = eye - xhat.T @ xhat
+    s = xhat.T @ (a @ xhat)
+    denom = 1.0 - r.diagonal()
+    bad = np.abs(denom) < 1e-14
+    if bad.any():
+        raise ValueError(
+            "degenerate approximate eigenvector: column "
+            f"{int(np.argmax(bad))} has near-zero norm"
+        )
+    return s.diagonal() / denom, r, s
+
+
 def estimate_eigenvalues(a, xhat, return_extra: bool = False):
     """Eigenvalue estimates lambda_i = s_ii / (1 - r_ii) for a precomputed basis.
 
@@ -89,38 +109,26 @@ def estimate_eigenvalues(a, xhat, return_extra: bool = False):
     near-zero norm and the quotient is meaningless.
     """
     a, xhat = _check_pair(a, xhat)
-    n = a.shape[0]
-    r = np.eye(n) - xhat.T @ xhat
-    s = xhat.T @ (a @ xhat)
-    denom = 1.0 - np.diag(r)
-    bad = np.abs(denom) < 1e-14
-    if np.any(bad):
-        raise ValueError(
-            "degenerate approximate eigenvector: column "
-            f"{int(np.argmax(bad))} has near-zero norm"
-        )
-    lam = np.diag(s) / denom
+    lam, r, s = _rayleigh(a, xhat, np.eye(a.shape[0]))
     if return_extra:
         return lam, r, s
     return lam
 
 
-def _correction(lam: np.ndarray, r: np.ndarray, s: np.ndarray, a, norm) -> tuple[np.ndarray, float]:
-    delta = 2.0 * (norm(s - np.diag(lam)) + norm(a) * norm(r))
-    if not np.isfinite(delta):
+def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float, norm):
+    """One unchecked refinement step: (Xhat + Xhat @ E, delta), with
+    ``norm_a`` = norm(A) taken once by the caller."""
+    lam, r, s = _rayleigh(a, xhat, eye)
+    delta = 2.0 * (norm(s - np.diag(lam)) + norm_a * norm(r))
+    if not math.isfinite(delta):
         raise ArithmeticError(
             f"non-finite refinement threshold delta={delta}; input blew up"
         )
-    gap = lam[None, :] - lam[:, None]
+    gap = lam - lam[:, None]
     wide = np.abs(gap) > delta
-    # The double where keeps the masked-out divisions from touching gap == 0.
-    e = np.where(wide, (s + lam[None, :] * r) / np.where(wide, gap, 1.0), 0.5 * r)
-    return e, delta
-
-
-def _step(a: np.ndarray, xhat: np.ndarray, norm) -> tuple[np.ndarray, float]:
-    lam, r, s = estimate_eigenvalues(a, xhat, return_extra=True)
-    e, delta = _correction(lam, r, s, a, norm)
+    # Dividing only where the gap is wide keeps gap == 0 out of the division.
+    e = 0.5 * r
+    np.divide(s + lam * r, gap, out=e, where=wide)
     return xhat + xhat @ e, delta
 
 
@@ -131,7 +139,7 @@ def refine_step(a, xhat, norm=frobenius_norm) -> np.ndarray:
     diagonal make every entry of E vanish).
     """
     a, xhat = _check_pair(a, xhat)
-    new_x, _ = _step(a, xhat, norm)
+    new_x, _ = _step(a, xhat, np.eye(a.shape[0]), norm(a), norm)
     return new_x
 
 
@@ -146,10 +154,11 @@ def refine_to_convergence(
     """Repeat refinement steps until the update norm drops below ``tol``.
 
     Stops when ||X' - X|| < tol, or unconditionally once ``max_iter_count``
-    steps have run (diagnostics then carry ``truncated=True``).  Either way
-    the freshly stepped matrix is returned, never the pre-step iterate.  With
-    ``sort_by_eigenvalues`` the estimated eigenvalues of the final iterate are
-    sorted in descending order and its columns reordered to match.
+    steps (MAX_ITER when None) have run; diagnostics then carry
+    ``truncated=True`` and the tolerance may not have been reached.  Either
+    way the freshly stepped matrix is returned, never the pre-step iterate.
+    With ``sort_by_eigenvalues`` the estimated eigenvalues of the final
+    iterate are sorted in descending order and its columns reordered to match.
 
     Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
     the first step norm: the initial guess is too far off (or the spectrum
@@ -160,17 +169,18 @@ def refine_to_convergence(
     if max_iter_count is not None and max_iter_count < 1:
         raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
     a, x = _check_pair(a, xhat)
+    cap = MAX_ITER if max_iter_count is None else max_iter_count
+    eye = np.eye(a.shape[0])
+    norm_a = norm(a)
     deltas: list[float] = []
     steps: list[float] = []
-    iterations = 0
     truncated = False
     while True:
-        iterations += 1
-        new_x, delta = _step(a, x, norm)
+        new_x, delta = _step(a, x, eye, norm_a, norm)
         eps = norm(new_x - x)
         deltas.append(delta)
         steps.append(eps)
-        if max_iter_count is not None and iterations == max_iter_count:
+        if len(steps) == cap:
             truncated = True
             break
         if eps < tol:
@@ -179,16 +189,15 @@ def refine_to_convergence(
             raise DivergenceError(
                 f"refinement diverging: step norm {eps:.3e} exceeds "
                 f"{DIVERGENCE_FACTOR:.0e} x first step norm {steps[0]:.3e} "
-                f"after {iterations} iterations"
+                f"after {len(steps)} iterations"
             )
         x = new_x
     if sort_by_eigenvalues:
-        lam = estimate_eigenvalues(a, new_x)
-        order = np.argsort(-lam, kind="stable")
-        new_x = new_x[:, order]
+        lam, _, _ = _rayleigh(a, new_x, eye)
+        new_x = new_x[:, (-lam).argsort(kind="stable")]
     diagnostics = RefineDiagnostics(
-        iterations=iterations,
-        final_step_norm=steps[-1],
+        iterations=len(steps),
+        final_step_norm=eps,
         delta_history=tuple(deltas),
         step_norm_history=tuple(steps),
         truncated=truncated,

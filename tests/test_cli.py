@@ -58,6 +58,19 @@ def test_chunk_bounds_by_year(tmp_path):
     assert chunk_bounds(table, "chunk=3") == [(0, 3), (3, 6), (6, 7)]
 
 
+def test_ipca_folds_single_row_final_chunk(tmp_path):
+    data = tmp_path / "d.csv"
+    out = tmp_path / "z.csv"
+    assert main(["synth", "--kind", "stationary-gaussian", "--rows", "1001",
+                 "--cols", "4", "--seed", "1", "--output", str(data)]) == 0
+    assert main(["ipca", str(data), "--chunk-spec", "chunk=250",
+                 "--output", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "z.json").read_text())
+    bounds = sidecar["diagnostics"]["chunk_bounds"]
+    assert bounds == [[0, 250], [250, 500], [500, 750], [750, 1001]]
+    assert read_table(out).n_rows == 1001
+
+
 def test_chunk_bounds_by_year_needs_timestamps():
     table = ObservationTable(["a"], np.zeros((4, 1)))
     with pytest.raises(ValueError, match="timestamp column"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streampca import refine
 from streampca.ewmpca import DEFAULT_SEED_ROWS, EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
 from streampca.refine import DivergenceError, estimate_eigenvalues
@@ -234,3 +235,16 @@ def test_warmup_cap_only_applies_without_user_cap():
     default = EwmPCA(0.95)
     default.add_all(x)
     assert max(default.iteration_counts[: DEFAULT_SEED_ROWS - 1]) <= 20
+
+
+def test_truncation_count_counts_capped_rows(monkeypatch):
+    x = seeded_stream(150, 3, seed=13)
+    default = EwmPCA(0.95)
+    default.add_all(x)
+    assert default.truncation_count == 0
+    # warmup_rows=1 leaves every refinement under the default cap
+    monkeypatch.setattr(refine, "MAX_ITER", 1)
+    capped = EwmPCA(0.95, warmup_rows=1)
+    capped.add_all(x)
+    assert capped.iteration_counts == [1] * 149
+    assert capped.truncation_count == 149

@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streampca.linalg import frobenius_norm, jacobi_eigh
+from streampca import refine
+from streampca.ewmpca import EwmPCA
+from streampca.ewmstats import ewm_update
+from streampca.ipca import IteratedPCA
+from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
 from streampca.refine import (
+    MAX_ITER,
     DivergenceError,
     estimate_eigenvalues,
     refine_step,
     refine_to_convergence,
 )
+from streampca.synth import stationary_gaussian
 
 from conftest import frobenius_perturbation, well_separated_symmetric
 
@@ -207,3 +213,69 @@ def test_invalid_tol_and_max_iter():
         refine_to_convergence(np.eye(2), np.eye(2), tol=0.0)
     with pytest.raises(ValueError, match="max_iter_count"):
         refine_to_convergence(np.eye(2), np.eye(2), max_iter_count=0)
+
+
+def test_default_cap_reports_truncation(monkeypatch):
+    a, _ = well_separated_symmetric(7, seed=3)
+    x0 = jacobi_eigh(a).vectors + frobenius_perturbation((7, 7), 1e-2, 31)
+    _, free = refine_to_convergence(a, x0, tol=1e-12)
+    assert 2 < free.iterations < MAX_ITER and not free.truncated
+    monkeypatch.setattr(refine, "MAX_ITER", 2)
+    out, diag = refine_to_convergence(a, x0, tol=1e-12)
+    assert diag.iterations == 2
+    assert diag.truncated
+    assert np.array_equal(out, refine_step(a, refine_step(a, x0)))
+
+
+# ---------------------------------------------------------------------------
+# the loop against a plain loop of the public step
+
+
+def warm_started_pairs():
+    """(covariance, previous basis) as EwmPCA and IteratedPCA hand them over."""
+    x = stationary_gaussian(400, 6, seed=5)
+    model = EwmPCA(0.97)
+    model.add_all(x[:300])
+    ewm = ewm_update(model.state, x[300]).cov
+    chunked = IteratedPCA().fit(x[:200])
+    _, chunk_cov = sample_covariance(x[200:])
+    return [(ewm, model.basis), (chunk_cov, chunked.components_)]
+
+
+def reference_loop(a, x, tol, sort):
+    steps = []
+    while True:
+        new_x = refine_step(a, x)
+        steps.append(frobenius_norm(new_x - x))
+        if len(steps) == MAX_ITER or steps[-1] < tol:
+            break
+        x = new_x
+    if sort:
+        new_x = new_x[:, np.argsort(-estimate_eigenvalues(a, new_x), kind="stable")]
+    return new_x, tuple(steps)
+
+
+@pytest.mark.parametrize("sort", [False, True])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_loop_equals_repeated_refine_step_bitwise(tol, sort):
+    for a, x0 in warm_started_pairs():
+        expected, steps = reference_loop(a, x0, tol, sort)
+        out, diag = refine_to_convergence(a, x0, tol=tol, sort_by_eigenvalues=sort)
+        assert diag.iterations > 1
+        assert diag.step_norm_history == steps
+        assert np.array_equal(out, expected)
+
+
+def test_norm_of_a_is_taken_once_per_call():
+    for a, x0 in warm_started_pairs():
+        seen = []
+
+        def counting(m):
+            seen.append(m is a)
+            return frobenius_norm(m)
+
+        out, diag = refine_to_convergence(a, x0, norm=counting, sort_by_eigenvalues=True)
+        assert sum(seen) == 1
+        # per step: ||S - D||, ||R|| and the step norm
+        assert len(seen) == 1 + 3 * diag.iterations
+        assert np.array_equal(out, refine_to_convergence(a, x0, sort_by_eigenvalues=True)[0])
