@@ -129,6 +129,20 @@ def cross_correlation(z1, z2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
+def _pick(args, *names: str) -> dict:
+    """Sidecar params: the parsed values of the named flags, in that order."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _write_sidecar(
+    path, command, params, alpha=None, eigenvalues=None, iterations=None, diagnostics=None
+) -> None:
+    """The one writer of the sidecar keys, in their documented order."""
+    payload = {"command": command, "params": params, "alpha": alpha}
+    payload.update(eigenvalues=eigenvalues, iterations=iterations, diagnostics=diagnostics)
+    write_sidecar(path, payload)
+
+
 def cmd_synth(args) -> None:
     if args.kind == "stationary-gaussian":
         data = synth.stationary_gaussian(args.rows, args.cols, seed=args.seed)
@@ -147,25 +161,9 @@ def cmd_synth(args) -> None:
             args.rows, args.cols, persistence=args.persistence, seed=args.seed
         )
         extra = {"persistence": args.persistence}
-    table = ObservationTable(_pc_names(args.cols, prefix="x"), data)
-    write_table(args.output, table)
-    write_sidecar(
-        _sidecar_path(args.output),
-        {
-            "command": "synth",
-            "params": {
-                "kind": args.kind,
-                "rows": args.rows,
-                "cols": args.cols,
-                "seed": args.seed,
-                **extra,
-            },
-            "alpha": None,
-            "eigenvalues": None,
-            "iterations": None,
-            "diagnostics": None,
-        },
-    )
+    write_table(args.output, ObservationTable(_pc_names(args.cols, prefix="x"), data))
+    params = {**_pick(args, "kind", "rows", "cols", "seed"), **extra}
+    _write_sidecar(_sidecar_path(args.output), "synth", params)
     _info(f"synth: wrote {args.rows} x {args.cols} table to {args.output}")
 
 
@@ -201,35 +199,23 @@ def cmd_ipca(args) -> None:
         if k > 0 and diag is None:
             reseeded.append(k)
         if previous is not None:
-            continuity.append(
-                [float(v) for v in np.einsum("ij,ij->j", previous, model.components_)]
-            )
+            continuity.append(np.einsum("ij,ij->j", previous, model.components_).tolist())
         previous = model.components_
-        eigenvalues.append([float(v) for v in model.explained_variance_])
+        eigenvalues.append(model.explained_variance_.tolist())
         iterations.append(None if diag is None else diag.iterations)
         pieces.append(model.transform(chunk))
     series = np.vstack(pieces)
-    out = ObservationTable(_pc_names(series.shape[1]), series, timestamps=table.timestamps)
-    write_table(args.output, out)
-    write_sidecar(
+    write_table(args.output, ObservationTable(_pc_names(series.shape[1]), series, table.timestamps))
+    _write_sidecar(
         _sidecar_path(args.output),
-        {
-            "command": "ipca",
-            "params": {
-                "input": str(args.input),
-                "chunk_spec": args.chunk_spec,
-                "reseed": bool(args.reseed),
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
-            "alpha": None,
-            "eigenvalues": eigenvalues,
-            "iterations": iterations,
-            "diagnostics": {
-                "chunk_bounds": [[lo, hi] for lo, hi in bounds],
-                "sign_continuity": continuity,
-                "reseeded_chunks": reseeded,
-            },
+        "ipca",
+        _pick(args, "input", "chunk_spec", "reseed", "tol", "max_iter"),
+        eigenvalues=eigenvalues,
+        iterations=iterations,
+        diagnostics={
+            "chunk_bounds": [[lo, hi] for lo, hi in bounds],
+            "sign_continuity": continuity,
+            "reseeded_chunks": reseeded,
         },
     )
     flips = sum(1 for row in continuity for v in row if v <= 0.0)
@@ -250,58 +236,51 @@ def _iteration_summary(counts: list[int]) -> dict:
     }
 
 
-def _resolve_alpha(args, data: np.ndarray) -> tuple[float, dict | None]:
-    """Parse --alpha; 'ml' estimates it from the data first."""
-    if args.alpha != "ml":
+def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """ML decay over --grid (default grid) with --burn-in: (grid, argmax, curve)."""
+    grid = parse_grid_spec(args.grid) if args.grid else default_alpha_grid()
+    alpha, curve = estimate_alpha(data, grid=grid, burn_in=args.burn_in)
+    return grid, alpha, curve
+
+
+def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
+    """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA over
+    every row: (alpha, ML record or None, model, component series)."""
+    if args.alpha == "ml":
+        grid, alpha, curve = _fit_alpha(args, data)
+        ml = {"argmax": alpha, "grid": grid.tolist(), "loglik": curve.tolist()}
+    else:
         try:
-            value = float(args.alpha)
+            alpha = float(args.alpha)
         except ValueError:
             raise ValueError(
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
-        return value, None
-    grid = parse_grid_spec(args.grid) if args.grid else default_alpha_grid()
-    alpha, curve = estimate_alpha(data, grid=grid, burn_in=args.burn_in)
-    ml = {
-        "argmax": alpha,
-        "grid": [float(g) for g in grid],
-        "loglik": [float(v) for v in curve],
-    }
-    return alpha, ml
+        ml = None
+    model = EwmPCA(alpha, tol=args.tol, max_iter_count=args.max_iter, warmup_rows=args.warmup)
+    return alpha, ml, model, model.add_all(data)
+
+
+# sidecar params of the two commands that run EwmPCA
+_EWM_PARAMS = ("input", "alpha", "warmup", "tol", "max_iter")
 
 
 def cmd_ewmpca(args) -> None:
     table = read_table(args.input)
-    alpha, ml = _resolve_alpha(args, table.data)
-    model = EwmPCA(
-        alpha,
-        tol=args.tol,
-        max_iter_count=args.max_iter,
-        warmup_rows=args.warmup,
-    )
-    series = model.add_all(table.data)
-    out = ObservationTable(_pc_names(series.shape[1]), series, timestamps=table.timestamps)
-    write_table(args.output, out)
+    alpha, ml, model, series = _run_ewm(args, table.data)
+    write_table(args.output, ObservationTable(_pc_names(series.shape[1]), series, table.timestamps))
     final = model.eigenvalues()
-    write_sidecar(
+    _write_sidecar(
         _sidecar_path(args.output),
-        {
-            "command": "ewmpca",
-            "params": {
-                "input": str(args.input),
-                "alpha": args.alpha,
-                "warmup": args.warmup,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
-            "alpha": alpha,
-            "eigenvalues": None if final is None else [float(v) for v in final],
-            "iterations": {
-                "observations": int(model.observation_count),
-                **_iteration_summary(model.iteration_counts),
-            },
-            "diagnostics": {"ml": ml},
+        "ewmpca",
+        _pick(args, *_EWM_PARAMS),
+        alpha=alpha,
+        eigenvalues=None if final is None else final.tolist(),
+        iterations={
+            "observations": int(model.observation_count),
+            **_iteration_summary(model.iteration_counts),
         },
+        diagnostics={"ml": ml},
     )
     _info(f"ewmpca: alpha={alpha}, {series.shape[0]} rows, wrote {args.output}")
 
@@ -321,26 +300,17 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 
 def cmd_estimate_alpha(args) -> None:
     table = read_table(args.input)
-    grid = parse_grid_spec(args.grid) if args.grid else default_alpha_grid()
-    alpha, curve = estimate_alpha(table.data, grid=grid, burn_in=args.burn_in)
+    grid, alpha, curve = _fit_alpha(args, table.data)
     with open(args.output, "w") as fh:
         fh.write("alpha,loglik\n")
         for a, v in zip(grid, curve):
             fh.write(f"{format_float(a)},{format_float(v)}\n")
-    write_sidecar(
+    _write_sidecar(
         _sidecar_path(args.output),
-        {
-            "command": "estimate-alpha",
-            "params": {
-                "input": str(args.input),
-                "grid": args.grid,
-                "burn_in": args.burn_in,
-            },
-            "alpha": alpha,
-            "eigenvalues": None,
-            "iterations": None,
-            "diagnostics": {"grid_size": int(grid.shape[0])},
-        },
+        "estimate-alpha",
+        _pick(args, "input", "grid", "burn_in"),
+        alpha=alpha,
+        diagnostics={"grid_size": int(grid.shape[0])},
     )
     print(format_float(alpha))
     _info(f"estimate-alpha: wrote likelihood curve to {args.output}")
@@ -348,11 +318,9 @@ def cmd_estimate_alpha(args) -> None:
 
 def cmd_compare(args) -> None:
     table = read_table(args.input)
-    alpha, _ = _resolve_alpha(args, table.data)
+    alpha, _, model, z_moving = _run_ewm(args, table.data)
     pca = IteratedPCA()
     z_classic = pca.fit_transform(table.data)
-    model = EwmPCA(alpha, tol=args.tol, max_iter_count=args.max_iter, warmup_rows=args.warmup)
-    z_moving = model.add_all(table.data)
     cov = cross_covariance(z_classic, z_moving)
     corr = cross_correlation(z_classic, z_moving)
     p = cov.shape[0]
@@ -362,23 +330,15 @@ def cmd_compare(args) -> None:
     write_labeled_matrix(f"{prefix}crosscovariance.csv", cov, rows, cols, corner="component")
     write_labeled_matrix(f"{prefix}crosscorrelation.csv", corr, rows, cols, corner="component")
     off = corr[~np.eye(p, dtype=bool)]
-    write_sidecar(
+    _write_sidecar(
         f"{prefix}run.json",
-        {
-            "command": "compare",
-            "params": {
-                "input": str(args.input),
-                "alpha": args.alpha,
-                "warmup": args.warmup,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
-            "alpha": alpha,
-            "eigenvalues": [float(v) for v in pca.explained_variance_],
-            "iterations": _iteration_summary(model.iteration_counts),
-            "diagnostics": {
-                "max_abs_offdiag_crosscorr": float(np.max(np.abs(off))) if off.size else None
-            },
+        "compare",
+        _pick(args, *_EWM_PARAMS),
+        alpha=alpha,
+        eigenvalues=pca.explained_variance_.tolist(),
+        iterations=_iteration_summary(model.iteration_counts),
+        diagnostics={
+            "max_abs_offdiag_crosscorr": float(np.max(np.abs(off))) if off.size else None
         },
     )
     _info(f"compare: wrote {prefix}crosscovariance.csv and {prefix}crosscorrelation.csv")
@@ -404,6 +364,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by several commands, each declared once
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input", help="CSV observation table")
+    refinement = argparse.ArgumentParser(add_help=False)
+    refinement.add_argument("--tol", type=float, default=1e-6, help="refinement tolerance")
+    refinement.add_argument("--max-iter", type=int, help="refinement iteration cap")
+    likelihood = argparse.ArgumentParser(add_help=False)
+    likelihood.add_argument(
+        "--grid", help="decay grid 'start:stop:step' of the ML fit (default 0.5:0.999:0.001)"
+    )
+    likelihood.add_argument(
+        "--burn-in",
+        type=int,
+        help="likelihood terms before this observation count are dropped "
+        "(default 10 x p)",
+    )
+    decay = argparse.ArgumentParser(add_help=False)
+    decay.add_argument(
+        "--alpha",
+        required=True,
+        help="decay in (0, 1), or 'ml' to fit it by maximum likelihood first",
+    )
+    decay.add_argument("--warmup", type=int, default=100, help="warm-up rows (default 100)")
+
     p = sub.add_parser("synth", help="write a seeded synthetic observation table")
     p.add_argument(
         "--kind",
@@ -416,12 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument(
         "--switch-points",
-        default=None,
         help="regime-switch: comma-separated row indices where regimes change",
     )
     p.add_argument(
         "--regime-seeds",
-        default=None,
         help="regime-switch: comma-separated covariance seeds, one per regime",
     )
     p.add_argument(
@@ -433,8 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="CSV path to write")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ipca", help="chunked warm-started PCA over an observation table")
-    p.add_argument("input", help="CSV observation table")
+    p = sub.add_parser(
+        "ipca",
+        parents=[source, refinement],
+        help="chunked warm-started PCA over an observation table",
+    )
     p.add_argument(
         "--chunk-spec",
         required=True,
@@ -448,53 +433,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="on refinement divergence, restart the chunk from a fresh "
         "eigendecomposition instead of failing",
     )
-    p.add_argument("--tol", type=float, default=1e-6, help="refinement tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="refinement iteration cap")
     p.set_defaults(func=cmd_ipca)
 
-    p = sub.add_parser("ewmpca", help="exponentially weighted moving PCA")
-    p.add_argument("input", help="CSV observation table")
-    p.add_argument(
-        "--alpha",
-        required=True,
-        help="decay in (0, 1), or 'ml' to fit it by maximum likelihood first",
+    p = sub.add_parser(
+        "ewmpca",
+        parents=[source, decay, refinement, likelihood],
+        help="exponentially weighted moving PCA",
     )
-    p.add_argument("--warmup", type=int, default=100, help="warm-up rows (default 100)")
-    p.add_argument("--tol", type=float, default=1e-6, help="refinement tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="refinement iteration cap")
-    p.add_argument("--grid", default=None, help="alpha grid 'start:stop:step' for --alpha ml")
-    p.add_argument("--burn-in", type=int, default=None, help="likelihood burn-in for --alpha ml")
     p.add_argument("--output", required=True, help="component series CSV to write")
     p.set_defaults(func=cmd_ewmpca)
 
-    p = sub.add_parser("estimate-alpha", help="grid-search ML fit of the decay")
-    p.add_argument("input", help="CSV observation table")
-    p.add_argument(
-        "--grid",
-        default=None,
-        help="'start:stop:step' (default 0.5:0.999:0.001)",
-    )
-    p.add_argument(
-        "--burn-in",
-        type=int,
-        default=None,
-        help="likelihood terms before this observation count are dropped "
-        "(default 10 x p)",
+    p = sub.add_parser(
+        "estimate-alpha", parents=[source, likelihood], help="grid-search ML fit of the decay"
     )
     p.add_argument("--output", required=True, help="CSV path for the likelihood curve")
     p.set_defaults(func=cmd_estimate_alpha)
 
     p = sub.add_parser(
         "compare",
+        parents=[source, decay, refinement, likelihood],
         help="cross-covariance/correlation between classical PCA and moving PCA components",
     )
-    p.add_argument("input", help="CSV observation table")
-    p.add_argument("--alpha", required=True, help="decay in (0, 1), or 'ml'")
-    p.add_argument("--warmup", type=int, default=100, help="warm-up rows (default 100)")
-    p.add_argument("--tol", type=float, default=1e-6, help="refinement tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="refinement iteration cap")
-    p.add_argument("--grid", default=None, help="alpha grid 'start:stop:step' for --alpha ml")
-    p.add_argument("--burn-in", type=int, default=None, help="likelihood burn-in for --alpha ml")
     p.add_argument(
         "--output-prefix",
         required=True,

@@ -26,9 +26,13 @@ scored row factors all G covariances with one batched Cholesky.  Grids whose
 blocks of decays.  ``ewm_loglik`` is the same computation with G = 1; the
 decays are independent and the arithmetic is elementwise, so a curve entry
 equals the standalone value bit for bit whatever the grid or its blocking.
-A covariance that cannot be factored raises ``SingularCovarianceError``
-with the earliest failing observation ``t`` and, of the decays failing
-there, the ``alpha`` lowest in the grid.
+A covariance that is singular to working precision raises
+``SingularCovarianceError`` with the earliest failing observation ``t`` and,
+of the decays failing there, the ``alpha`` lowest in the grid.  Singular
+means that Cholesky fails or that some pivot of the factor L that it does
+return has diag(L)_i^2 <= p eps S_ii.  Cholesky alone fails on a
+rank-deficient S only when rounding drives a pivot to zero or below, so
+the relative test makes the failing observation independent of rounding.
 """
 
 from __future__ import annotations
@@ -125,14 +129,21 @@ def _check_burn_in(burn_in: int | None, p: int) -> int:
     return burn_in
 
 
+def _small_pivots(diag_l: np.ndarray, cov: np.ndarray, tiny: float) -> np.ndarray:
+    """Elementwise diag(L)_i^2 <= tiny * S_ii, for one or a stack of covariances."""
+    return diag_l * diag_l <= tiny * np.diagonal(cov, axis1=-2, axis2=-1)
+
+
 def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     """Sum of ln det S_{t-1} + e^T S_{t-1}^{-1} e over t > burn_in, per decay.
 
-    Returns the (G,) sums and None, or, at the first row whose factorization
-    fails, the partial sums and (t, lowest failing index into ``alphas``).
+    Returns the (G,) sums and None, or, at the first row with a singular
+    covariance (see the module docstring), the partial sums and (t, lowest
+    failing index into ``alphas``).
     The recursions repeat ``ewm_update``'s elementwise arithmetic exactly.
     """
     n, p = mat.shape
+    tiny = p * np.finfo(np.float64).eps
     a = alphas[:, None]
     b = 1.0 - a
     a3 = a[:, :, None]
@@ -146,18 +157,24 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
             try:
                 chol = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
-                # cold path: name the lowest decay that fails at this row
+                # cold path: name the lowest decay that fails either test here
                 for k in range(alphas.shape[0]):
                     try:
-                        np.linalg.cholesky(cov[k])
+                        chol_k = np.linalg.cholesky(cov[k])
                     except np.linalg.LinAlgError:
                         return total, (t, k)
+                    if _small_pivots(np.diagonal(chol_k), cov[k], tiny).any():
+                        return total, (t, k)
                 raise
+            diag_l = np.diagonal(chol, axis1=1, axis2=2)
+            small = _small_pivots(diag_l, cov, tiny)
+            if small.any():
+                return total, (t, int(np.argmax(small.any(axis=1))))
             e = x_t - mean
             y = np.linalg.solve(chol, e[:, :, None])[:, :, 0]
-            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            logdet = 2.0 * np.log(diag_l).sum(axis=1)
             total += logdet + (y * y).sum(axis=1)
-            del chol  # keeps at most three (G, p, p) arrays alive
+            del chol, diag_l  # keeps at most three (G, p, p) arrays alive
         mean = b * x_t + a * mean
         d = x_t - mean
         rank_one = d[:, :, None] * d[:, None, :]
@@ -206,9 +223,11 @@ def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
     covariance has rank at most t - 1, so early terms are singular by
     construction.  Factorizations are symmetric (Cholesky): ln det S is twice
     the sum of the logs of the factor's diagonal, and the quadratic term is
-    |L^{-1} e|^2.  A failure raises SingularCovarianceError, carrying the
-    observation ``t`` and the decay ``alpha``, rather than regularizing
-    silently: a ridge term would bias the fitted decay.
+    |L^{-1} e|^2.  A covariance that is singular to working precision (the
+    factorization fails, or a pivot diag(L)_i^2 is at most p eps S_ii)
+    raises SingularCovarianceError, carrying the observation ``t`` and the
+    decay ``alpha``, rather than regularizing silently: a ridge term would
+    bias the fitted decay.
 
     This is ``estimate_alpha``'s grid computation with a one-value grid, so
     ``estimate_alpha(x, grid)[1][i] == ewm_loglik(x, grid[i])`` bit for bit.

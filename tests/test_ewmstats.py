@@ -207,6 +207,33 @@ def test_loglik_singular_names_observation():
     assert excinfo.value.t == 6
 
 
+RANK_ONE_ALPHAS = [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99]
+
+
+def rank_one(n=60):
+    t_axis = np.arange(n, dtype=float) + 1.0
+    return np.column_stack([t_axis, 2.0 * t_axis])
+
+
+@pytest.mark.parametrize("alpha", RANK_ONE_ALPHAS)
+def test_loglik_rank_one_fails_at_first_scored_row(alpha):
+    # Cholesky alone lets some of these decays through to t = 7 or 9, on a
+    # pivot of rounding size; the relative pivot test stops every one at t = 6
+    with pytest.raises(SingularCovarianceError) as excinfo:
+        ewm_loglik(rank_one(), alpha, burn_in=5)
+    assert (excinfo.value.t, excinfo.value.alpha) == (6, alpha)
+
+
+@pytest.mark.parametrize("lo", range(len(RANK_ONE_ALPHAS)))
+def test_grid_rank_one_names_lowest_decay_at_first_scored_row(lo):
+    # grids where the batched Cholesky fails (cold path) and where it goes
+    # through and only the pivot test flags the decays
+    grid = RANK_ONE_ALPHAS[lo:]
+    with pytest.raises(SingularCovarianceError) as excinfo:
+        estimate_alpha(rank_one(), grid, burn_in=5)
+    assert (excinfo.value.t, excinfo.value.alpha) == (6, grid[0])
+
+
 def loop_loglik(x, alpha, burn_in):
     """Row-by-row reference: fold ewm_update and factor each S_{t-1} alone."""
     state = ewm_init(x[0], alpha)
