@@ -15,11 +15,15 @@ import os
 
 import numpy as np
 
-from streampca.cli import cross_correlation, cross_covariance
 from streampca.ewmpca import EwmPCA
 from streampca.ewmstats import ewm_init, ewm_update
 from streampca.ipca import IteratedPCA
-from streampca.linalg import frobenius_norm, sample_covariance
+from streampca.linalg import (
+    cross_correlation,
+    cross_covariance,
+    frobenius_norm,
+    sample_covariance,
+)
 from streampca.synth import regime_switch
 from streampca.tableio import ObservationTable, write_labeled_matrix, write_table
 

@@ -24,6 +24,7 @@ from . import synth
 from .ewmpca import EwmPCA
 from .ewmstats import default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
+from .linalg import cross_correlation, cross_covariance
 from .refine import DivergenceError
 from .tableio import (
     ObservationTable,
@@ -34,7 +35,7 @@ from .tableio import (
     write_table,
 )
 
-__all__ = ["main", "cross_covariance", "cross_correlation"]
+__all__ = ["main"]
 
 _BY_PREFIX = {"year": 4, "month": 7, "day": 10}
 
@@ -101,29 +102,6 @@ def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
     if n:
         bounds.append((lo, n))
     return bounds
-
-
-# ---------------------------------------------------------------------------
-# component cross-statistics
-
-def cross_covariance(z1, z2) -> np.ndarray:
-    """Column-by-column covariance between two component series (n-1 divisor)."""
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape or z1.ndim != 2 or z1.shape[0] < 2:
-        raise ValueError("component series must share a (n >= 2, p) shape")
-    c1 = z1 - z1.mean(axis=0)
-    c2 = z2 - z2.mean(axis=0)
-    return c1.T @ c2 / (z1.shape[0] - 1)
-
-
-def cross_correlation(z1, z2) -> np.ndarray:
-    cov = cross_covariance(z1, z2)
-    s1 = np.sqrt(np.diag(cross_covariance(z1, z1)))
-    s2 = np.sqrt(np.diag(cross_covariance(z2, z2)))
-    if np.any(s1 == 0.0) or np.any(s2 == 0.0):
-        raise ValueError("zero-variance component: correlation undefined")
-    return cov / np.outer(s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, fix_column_signs, jacobi_eigh, sample_covariance
-from .refine import (
-    DivergenceError,
-    RefineDiagnostics,
-    estimate_eigenvalues,
-    refine_to_convergence,
-)
+from .refine import DivergenceError, RefineDiagnostics, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
 
@@ -99,7 +94,7 @@ class IteratedPCA:
                     max_iter_count=self.max_iter_count,
                     sort_by_eigenvalues=True,
                 )
-                values = estimate_eigenvalues(cov, vectors)
+                values = diagnostics.eigenvalues
             except DivergenceError as err:
                 if not reseed:
                     raise DivergenceError(

@@ -21,6 +21,8 @@ __all__ = [
     "fix_column_signs",
     "jacobi_eigh",
     "sample_covariance",
+    "cross_covariance",
+    "cross_correlation",
 ]
 
 
@@ -168,3 +170,24 @@ def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
     centered = mat - means
     q = centered.T @ centered / (n - 1)
     return means, (q + q.T) / 2.0
+
+
+def cross_covariance(z1, z2) -> np.ndarray:
+    """Column-by-column covariance between two component series (n-1 divisor)."""
+    z1 = np.asarray(z1, dtype=np.float64)
+    z2 = np.asarray(z2, dtype=np.float64)
+    if z1.shape != z2.shape or z1.ndim != 2 or z1.shape[0] < 2:
+        raise ValueError("component series must share a (n >= 2, p) shape")
+    c1 = z1 - z1.mean(axis=0)
+    c2 = z2 - z2.mean(axis=0)
+    return c1.T @ c2 / (z1.shape[0] - 1)
+
+
+def cross_correlation(z1, z2) -> np.ndarray:
+    """Column-by-column correlation between two component series."""
+    cov = cross_covariance(z1, z2)
+    s1 = np.sqrt(np.diag(cross_covariance(z1, z1)))
+    s2 = np.sqrt(np.diag(cross_covariance(z2, z2)))
+    if np.any(s1 == 0.0) or np.any(s2 == 0.0):
+        raise ValueError("zero-variance component: correlation undefined")
+    return cov / np.outer(s1, s2)

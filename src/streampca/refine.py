@@ -29,7 +29,7 @@ power-iteration 2-norm estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class RefineDiagnostics:
 
     ``final_step_norm`` is the norm of the last update; ``truncated`` means the
     iteration cap stopped the loop (the tolerance may not have been reached).
+    ``eigenvalues`` holds the estimates of the returned basis, in its column
+    order, when the call sorted by them, and is None otherwise.
     """
 
     iterations: int
@@ -71,6 +73,7 @@ class RefineDiagnostics:
     delta_history: tuple[float, ...]
     step_norm_history: tuple[float, ...]
     truncated: bool = False
+    eigenvalues: np.ndarray | None = field(default=None, compare=False)
 
 
 def _check_pair(a: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +161,8 @@ def refine_to_convergence(
     ``truncated=True`` and the tolerance may not have been reached.  Either
     way the freshly stepped matrix is returned, never the pre-step iterate.
     With ``sort_by_eigenvalues`` the estimated eigenvalues of the final
-    iterate are sorted in descending order and its columns reordered to match.
+    iterate are sorted in descending order and its columns reordered to match;
+    the sorted estimates come back as ``diagnostics.eigenvalues``.
 
     Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
     the first step norm: the initial guess is too far off (or the spectrum
@@ -192,14 +196,18 @@ def refine_to_convergence(
                 f"after {len(steps)} iterations"
             )
         x = new_x
+    lam = None
     if sort_by_eigenvalues:
         lam, _, _ = _rayleigh(a, new_x, eye)
-        new_x = new_x[:, (-lam).argsort(kind="stable")]
+        order = (-lam).argsort(kind="stable")
+        new_x = new_x[:, order]
+        lam = lam[order]
     diagnostics = RefineDiagnostics(
         iterations=len(steps),
         final_step_norm=eps,
         delta_history=tuple(deltas),
         step_norm_history=tuple(steps),
         truncated=truncated,
+        eigenvalues=lam,
     )
     return new_x, diagnostics

@@ -1,17 +1,25 @@
 """CSV observation tables and JSON run sidecars.
 
-Dialect: comma-separated, mandatory header row, '.' decimal point.  A first
-column named exactly ``timestamp`` holds ISO-8601 text and is kept out of the
-numeric matrix.  Floats are written with 17 significant digits, which
-round-trips IEEE doubles losslessly, so any file written here can be
-re-ingested by any command without drift.
+Dialect: comma-separated, mandatory header row, '.' decimal point, CRLF
+line ends.  A first column named exactly ``timestamp`` holds
+ISO-8601 text and is kept out of the numeric matrix.  Numbers are written as
+``%.17g`` (17 significant digits, which round-trips IEEE doubles losslessly),
+so any file written here can be re-ingested by any command without drift.
+The header, row labels and timestamps get the ``csv`` module's minimal
+quoting: a field holding a comma, a double quote or a line break is quoted.
+
+Rows, not cells, are the unit of Python work: a read parses a row with one
+``map(float, ...)`` and checks it with one ``map(math.isfinite, ...)``, and
+a write formats a row's numbers with one ``%`` on a whole-row format.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +60,24 @@ class ObservationTable:
         return self.data.shape[1]
 
 
+def _cell_error(path, lineno: int, names: list[str], cells: list[str]) -> ValueError:
+    """The error for the first cell of a row, in column order, that is not a
+    finite number."""
+    for name, cell in zip(names, cells):
+        try:
+            v = float(cell)
+        except ValueError:
+            return ValueError(
+                f"{path}, line {lineno}: could not parse {cell!r} "
+                f"in column {name!r} as a number"
+            )
+        if not math.isfinite(v):
+            return ValueError(
+                f"{path}, line {lineno}: non-finite value {cell!r} in column {name!r}"
+            )
+    raise AssertionError("row has no bad cell")
+
+
 def read_table(path) -> ObservationTable:
     """Parse a CSV observation table; errors name the offending line."""
     with open(path, newline="") as fh:
@@ -73,21 +99,13 @@ def read_table(path) -> ObservationTable:
                 raise ValueError(
                     f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            raw = row[1:] if has_ts else row
-            values = []
-            for name, cell in zip(names, raw):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}, line {lineno}: could not parse {cell!r} "
-                        f"in column {name!r} as a number"
-                    ) from None
-                if not np.isfinite(v):
-                    raise ValueError(
-                        f"{path}, line {lineno}: non-finite value {cell!r} in column {name!r}"
-                    )
-                values.append(v)
+            cells = row[1:] if has_ts else row
+            try:
+                values = list(map(float, cells))
+            except ValueError:
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                raise _cell_error(path, lineno, names, cells)
             if has_ts:
                 timestamps.append(row[0])
             rows.append(values)
@@ -95,27 +113,40 @@ def read_table(path) -> ObservationTable:
     return ObservationTable(column_names=names, data=data, timestamps=timestamps)
 
 
-def write_table(path, table: ObservationTable) -> None:
+def _write_rows(path, header: list[str], matrix: np.ndarray, labels=None) -> None:
+    """Write ``header``, then one line per row of ``matrix``, led by its entry
+    of ``labels`` unless that is None.  Streams row by row."""
+    numbers = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if table.timestamps is not None:
-            writer.writerow([TIMESTAMP_COLUMN, *table.column_names])
-            for ts, row in zip(table.timestamps, table.data):
-                writer.writerow([ts, *(format_float(v) for v in row)])
-        else:
-            writer.writerow(table.column_names)
-            for row in table.data:
-                writer.writerow([format_float(v) for v in row])
+        write = fh.write
+        csv.writer(fh).writerow(header)
+        if labels is None:
+            for row in matrix:
+                write(numbers % tuple(row.tolist()))
+            return
+        # Labels get csv's own quoting from a writer that appends the label,
+        # a delimiter and the line end to ``quoted``; the line end is cut off.
+        # The writer keeps the default "\r\n" line end because csv quotes a
+        # line break only when the line end holds it, and the empty second
+        # field keeps an empty label unquoted (csv writes a lone "" field).
+        quoted: list[str] = []
+        quote = csv.writer(SimpleNamespace(write=quoted.append)).writerow
+        for label, row in zip(labels, matrix):
+            quote((label, ""))
+            write(quoted.pop()[:-2])
+            write(numbers % tuple(row.tolist()))
+
+
+def write_table(path, table: ObservationTable) -> None:
+    if table.timestamps is None:
+        _write_rows(path, table.column_names, table.data)
+    else:
+        _write_rows(path, [TIMESTAMP_COLUMN, *table.column_names], table.data, table.timestamps)
 
 
 def write_labeled_matrix(path, matrix, row_labels, col_labels, corner: str = "") -> None:
     """Square matrix CSV with a header row and a leading label column."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner, *col_labels])
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label, *(format_float(v) for v in row)])
+    _write_rows(path, [corner, *col_labels], np.asarray(matrix, dtype=np.float64), row_labels)
 
 
 def write_sidecar(path, payload: dict) -> None:

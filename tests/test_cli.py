@@ -3,15 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from streampca.cli import (
-    chunk_bounds,
-    cross_correlation,
-    cross_covariance,
-    main,
-    parse_chunk_spec,
-    parse_grid_spec,
-)
+from streampca.cli import chunk_bounds, main, parse_chunk_spec, parse_grid_spec
 from streampca.ipca import IteratedPCA
+from streampca.linalg import cross_correlation, cross_covariance
 from streampca.refine import DivergenceError
 from streampca.synth import regime_switch, stationary_gaussian
 from streampca.tableio import ObservationTable, read_table, write_table

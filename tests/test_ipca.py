@@ -3,7 +3,7 @@ import pytest
 
 from streampca.ipca import IteratedPCA
 from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
-from streampca.refine import DivergenceError
+from streampca.refine import DivergenceError, estimate_eigenvalues
 from streampca.synth import stationary_gaussian, well_separated_covariance
 
 
@@ -73,8 +73,13 @@ def test_explained_variance_matches_eigenvalues_sorted():
     rng = np.random.default_rng(7)
     model = IteratedPCA()
     for _ in range(3):
-        model.fit(rng.standard_normal((300, 4)))
+        x = rng.standard_normal((300, 4))
+        model.fit(x)
         assert np.all(np.diff(model.explained_variance_) <= 0.0)
+        if model.fit_count_ > 1:
+            _, cov = sample_covariance(x)
+            lam = estimate_eigenvalues(cov, model.components_)
+            assert np.array_equal(model.explained_variance_, lam)
 
 
 # ---------------------------------------------------------------------------

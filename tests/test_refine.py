@@ -174,10 +174,13 @@ def test_sorting_clause_orders_values_and_permutes_columns():
     # scramble the column order so sorting has work to do
     perm = np.array([3, 0, 5, 1, 4, 2])
     x0 = oracle.vectors[:, perm] + frobenius_perturbation((6, 6), 1e-3, 13)
-    unsorted_out, _ = refine_to_convergence(a, x0, tol=1e-12)
-    sorted_out, _ = refine_to_convergence(a, x0, tol=1e-12, sort_by_eigenvalues=True)
+    unsorted_out, unsorted_diag = refine_to_convergence(a, x0, tol=1e-12)
+    sorted_out, diag = refine_to_convergence(a, x0, tol=1e-12, sort_by_eigenvalues=True)
     lam_sorted = estimate_eigenvalues(a, sorted_out)
     assert np.all(np.diff(lam_sorted) <= 0.0)
+    # the sort hands back the estimates it formed, permuted with the columns
+    assert np.array_equal(diag.eigenvalues, lam_sorted)
+    assert unsorted_diag.eigenvalues is None
     # same columns, only reordered
     match = np.abs(sorted_out.T @ unsorted_out)
     assert np.allclose(np.sort(match.max(axis=1)), np.ones(6), atol=1e-8)
