@@ -166,8 +166,9 @@ def cmd_ipca(args) -> None:
         try:
             model.fit(chunk, reseed=args.reseed)
         except DivergenceError as err:
+            # The kernel's own message, without fit's library-level hint.
             raise DivergenceError(
-                f"chunk {k} (rows {lo + 1}-{hi}) failed to refine: {err}; "
+                f"chunk {k} (rows {lo + 1}-{hi}) failed to refine: {err.__cause__}; "
                 "rerun with --reseed to restart that chunk from a fresh "
                 "eigendecomposition"
             ) from err
@@ -240,7 +241,7 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
 
 
 # sidecar params of the two commands that run EwmPCA
-_EWM_PARAMS = ("input", "alpha", "warmup", "tol", "max_iter")
+_EWM_PARAMS = ("input", "alpha", "warmup", "tol", "max_iter", "grid", "burn_in")
 
 
 def cmd_ewmpca(args) -> None:
@@ -279,10 +280,7 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 def cmd_estimate_alpha(args) -> None:
     table = read_table(args.input)
     grid, alpha, curve = _fit_alpha(args, table.data)
-    with open(args.output, "w") as fh:
-        fh.write("alpha,loglik\n")
-        for a, v in zip(grid, curve):
-            fh.write(f"{format_float(a)},{format_float(v)}\n")
+    write_table(args.output, ObservationTable(["alpha", "loglik"], np.column_stack([grid, curve])))
     _write_sidecar(
         _sidecar_path(args.output),
         "estimate-alpha",

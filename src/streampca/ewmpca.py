@@ -28,7 +28,7 @@ from .linalg import (
     jacobi_eigh,
     sample_covariance,
 )
-from .refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
+from .refine import DivergenceError, _check_controls, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
@@ -67,7 +67,7 @@ class EwmPCA:
     initial_basis : optional (p, p) near-orthonormal starting basis; when
         omitted, batch mode seeds from the leading rows and pure online mode
         starts from the identity
-    tol, max_iter_count : refinement controls per observation
+    tol, max_iter_count : refinement controls per observation, checked here
     warmup_rows : observations during which refinement is capped at
         WARMUP_MAX_ITER steps (only when ``max_iter_count`` is None)
 
@@ -88,6 +88,7 @@ class EwmPCA:
         warmup_rows: int = DEFAULT_SEED_ROWS,
     ):
         self.alpha = _check_alpha(alpha)
+        _check_controls(tol, max_iter_count)
         self.tol = tol
         self.max_iter_count = max_iter_count
         self.warmup_rows = int(warmup_rows)
@@ -103,12 +104,9 @@ class EwmPCA:
                 )
             self._basis = basis.copy()
         self._ewm: EwmState | None = None
+        self._eigenvalues: np.ndarray | None = None
         self.iteration_counts: list[int] = []
         self.truncation_count = 0
-
-    @property
-    def seeded(self) -> bool:
-        return self._basis is not None
 
     @property
     def basis(self) -> np.ndarray | None:
@@ -125,10 +123,10 @@ class EwmPCA:
         return 0 if self._ewm is None else self._ewm.count
 
     def eigenvalues(self) -> np.ndarray | None:
-        """Eigenvalue estimates of the current basis on the current covariance."""
-        if self._ewm is None or self._ewm.count < 2:
-            return None
-        return estimate_eigenvalues(self._ewm.cov, self._basis)
+        """Eigenvalue estimates of the current basis on the current covariance,
+        as the last refinement returned them; None before the second
+        observation."""
+        return self._eigenvalues
 
     def add(self, x) -> np.ndarray:
         """Consume one observation, return its principal-component row.
@@ -156,11 +154,7 @@ class EwmPCA:
             cap = WARMUP_MAX_ITER
         try:
             basis, diagnostics = refine_to_convergence(
-                state.cov,
-                self._basis,
-                tol=self.tol,
-                max_iter_count=cap,
-                sort_by_eigenvalues=True,
+                state.cov, self._basis, tol=self.tol, max_iter_count=cap
             )
         except DivergenceError as err:
             raise DivergenceError(
@@ -168,6 +162,7 @@ class EwmPCA:
             ) from err
         self._ewm = state
         self._basis = basis
+        self._eigenvalues = diagnostics.eigenvalues
         self.iteration_counts.append(diagnostics.iterations)
         self.truncation_count += diagnostics.truncated
         return centered @ basis

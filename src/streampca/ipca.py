@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, fix_column_signs, jacobi_eigh, sample_covariance
-from .refine import DivergenceError, RefineDiagnostics, refine_to_convergence
+from .refine import DivergenceError, RefineDiagnostics, _check_controls, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
 
@@ -34,7 +34,8 @@ class IteratedPCA:
     ----------
     tol, max_iter_count:
         Convergence controls handed to the eigenbasis refinement on warm
-        starts (see :func:`streampca.refine.refine_to_convergence`).
+        starts (see :func:`streampca.refine.refine_to_convergence`); checked
+        here, so a bad value fails before the first fit.
 
     Attributes (set by ``fit``)
     ---------------------------
@@ -47,6 +48,7 @@ class IteratedPCA:
     """
 
     def __init__(self, tol: float = 1e-6, max_iter_count: int | None = None):
+        _check_controls(tol, max_iter_count)
         self.tol = tol
         self.max_iter_count = max_iter_count
         self.means_: np.ndarray | None = None
@@ -88,11 +90,7 @@ class IteratedPCA:
         else:
             try:
                 vectors, diagnostics = refine_to_convergence(
-                    cov,
-                    self.components_,
-                    tol=self.tol,
-                    max_iter_count=self.max_iter_count,
-                    sort_by_eigenvalues=True,
+                    cov, self.components_, tol=self.tol, max_iter_count=self.max_iter_count
                 )
                 values = diagnostics.eigenvalues
             except DivergenceError as err:

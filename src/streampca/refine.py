@@ -19,11 +19,12 @@ to the true basis, the iteration converges monotonically and quadratically;
 see T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
 decomposition", Japan J. Indust. Appl. Math. 35 (2018).
 
-Norms default to Frobenius, a cheap upper bound on the spectral norm used in
+All norms are Frobenius, a cheap upper bound on the spectral norm used in
 the original analysis.  Overestimating delta only routes more pairs to the
 conservative r_ij/2 branch, and in the stopping test Frobenius is the
-stricter criterion.  Pass a different ``norm`` callable to swap in, e.g., a
-power-iteration 2-norm estimate.
+stricter criterion.  ``refine_to_convergence`` returns the columns in
+descending order of their eigenvalue estimates, so a warm refit keeps the
+component order of a first fit.
 """
 
 from __future__ import annotations
@@ -62,18 +63,25 @@ class DivergenceError(RuntimeError):
 class RefineDiagnostics:
     """Per-call convergence record.
 
-    ``final_step_norm`` is the norm of the last update; ``truncated`` means the
-    iteration cap stopped the loop (the tolerance may not have been reached).
-    ``eigenvalues`` holds the estimates of the returned basis, in its column
-    order, when the call sorted by them, and is None otherwise.
+    ``step_norm_history`` holds the norm of every update in order;
+    ``truncated`` means the iteration cap stopped the loop (the tolerance may
+    not have been reached).  ``eigenvalues`` holds the estimates of the
+    returned basis, in its column order.
     """
 
     iterations: int
-    final_step_norm: float
-    delta_history: tuple[float, ...]
     step_norm_history: tuple[float, ...]
-    truncated: bool = False
-    eigenvalues: np.ndarray | None = field(default=None, compare=False)
+    truncated: bool
+    eigenvalues: np.ndarray = field(compare=False)
+
+
+def _check_controls(tol: float, max_iter_count: int | None) -> None:
+    """Reject a tolerance that is not positive (NaN included) and a cap below
+    one step."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter_count is not None and max_iter_count < 1:
+        raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
 
 
 def _check_pair(a: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,26 +111,21 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
     return s.diagonal() / denom, r, s
 
 
-def estimate_eigenvalues(a, xhat, return_extra: bool = False):
+def estimate_eigenvalues(a, xhat) -> np.ndarray:
     """Eigenvalue estimates lambda_i = s_ii / (1 - r_ii) for a precomputed basis.
 
-    With ``return_extra`` the residual matrices R = I - Xhat^T Xhat and
-    S = Xhat^T A Xhat come back too (they are needed by the refinement step).
     Raises ValueError when some |1 - r_ii| < 1e-14, i.e. a column of Xhat has
     near-zero norm and the quotient is meaningless.
     """
     a, xhat = _check_pair(a, xhat)
-    lam, r, s = _rayleigh(a, xhat, np.eye(a.shape[0]))
-    if return_extra:
-        return lam, r, s
-    return lam
+    return _rayleigh(a, xhat, np.eye(a.shape[0]))[0]
 
 
-def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float, norm):
-    """One unchecked refinement step: (Xhat + Xhat @ E, delta), with
-    ``norm_a`` = norm(A) taken once by the caller."""
+def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float) -> np.ndarray:
+    """One unchecked refinement step, Xhat + Xhat @ E, with ``norm_a`` = ||A||
+    taken once by the caller."""
     lam, r, s = _rayleigh(a, xhat, eye)
-    delta = 2.0 * (norm(s - np.diag(lam)) + norm_a * norm(r))
+    delta = 2.0 * (frobenius_norm(s - np.diag(lam)) + norm_a * frobenius_norm(r))
     if not math.isfinite(delta):
         raise ArithmeticError(
             f"non-finite refinement threshold delta={delta}; input blew up"
@@ -132,62 +135,46 @@ def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float, norm)
     # Dividing only where the gap is wide keeps gap == 0 out of the division.
     e = 0.5 * r
     np.divide(s + lam * r, gap, out=e, where=wide)
-    return xhat + xhat @ e, delta
+    return xhat + xhat @ e
 
 
-def refine_step(a, xhat, norm=frobenius_norm) -> np.ndarray:
+def refine_step(a, xhat) -> np.ndarray:
     """One refinement step: returns Xhat + Xhat @ E.
 
     Exactly orthonormal true eigenvectors are a fixed point (R = 0 and S
     diagonal make every entry of E vanish).
     """
     a, xhat = _check_pair(a, xhat)
-    new_x, _ = _step(a, xhat, np.eye(a.shape[0]), norm(a), norm)
-    return new_x
+    return _step(a, xhat, np.eye(a.shape[0]), frobenius_norm(a))
 
 
 def refine_to_convergence(
-    a,
-    xhat,
-    tol: float = 1e-6,
-    max_iter_count: int | None = None,
-    sort_by_eigenvalues: bool = False,
-    norm=frobenius_norm,
+    a, xhat, tol: float = 1e-6, max_iter_count: int | None = None
 ) -> tuple[np.ndarray, RefineDiagnostics]:
     """Repeat refinement steps until the update norm drops below ``tol``.
 
     Stops when ||X' - X|| < tol, or unconditionally once ``max_iter_count``
     steps (MAX_ITER when None) have run; diagnostics then carry
     ``truncated=True`` and the tolerance may not have been reached.  Either
-    way the freshly stepped matrix is returned, never the pre-step iterate.
-    With ``sort_by_eigenvalues`` the estimated eigenvalues of the final
-    iterate are sorted in descending order and its columns reordered to match;
-    the sorted estimates come back as ``diagnostics.eigenvalues``.
+    way the freshly stepped matrix is returned, never the pre-step iterate,
+    with its columns sorted by descending eigenvalue estimate; the sorted
+    estimates come back as ``diagnostics.eigenvalues``.
 
     Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
     the first step norm: the initial guess is too far off (or the spectrum
     too clustered) for the iteration to contract.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter_count is not None and max_iter_count < 1:
-        raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
+    _check_controls(tol, max_iter_count)
     a, x = _check_pair(a, xhat)
     cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
-    norm_a = norm(a)
-    deltas: list[float] = []
+    norm_a = frobenius_norm(a)
     steps: list[float] = []
-    truncated = False
     while True:
-        new_x, delta = _step(a, x, eye, norm_a, norm)
-        eps = norm(new_x - x)
-        deltas.append(delta)
+        new_x = _step(a, x, eye, norm_a)
+        eps = frobenius_norm(new_x - x)
         steps.append(eps)
-        if len(steps) == cap:
-            truncated = True
-            break
-        if eps < tol:
+        if len(steps) == cap or eps < tol:
             break
         if eps > DIVERGENCE_FACTOR * steps[0]:
             raise DivergenceError(
@@ -196,18 +183,12 @@ def refine_to_convergence(
                 f"after {len(steps)} iterations"
             )
         x = new_x
-    lam = None
-    if sort_by_eigenvalues:
-        lam, _, _ = _rayleigh(a, new_x, eye)
-        order = (-lam).argsort(kind="stable")
-        new_x = new_x[:, order]
-        lam = lam[order]
+    lam, _, _ = _rayleigh(a, new_x, eye)
+    order = (-lam).argsort(kind="stable")
     diagnostics = RefineDiagnostics(
         iterations=len(steps),
-        final_step_norm=eps,
-        delta_history=tuple(deltas),
         step_norm_history=tuple(steps),
-        truncated=truncated,
-        eigenvalues=lam,
+        truncated=len(steps) == cap,
+        eigenvalues=lam[order],
     )
-    return new_x, diagnostics
+    return new_x[:, order], diagnostics

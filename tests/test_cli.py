@@ -207,12 +207,27 @@ def test_ipca_divergence_names_chunk_and_reseed_recovers(tmp_path, capsys, monke
     monkeypatch.setattr("streampca.ipca.refine_to_convergence", always_diverge)
     rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
     assert rc == 1
-    assert "chunk 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "chunk 1" in err and "synthetic divergence" in err
+    # one hint, in the CLI's own terms
+    assert err.count("--reseed") == 1
+    assert "reseed=True" not in err
     rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out),
                "--reseed"])
     assert rc == 0
     sidecar = json.loads((tmp_path / "z.json").read_text())
     assert sidecar["diagnostics"]["reseeded_chunks"] == [1, 2]
+
+
+@pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "0"]], ids=["tol", "max-iter"])
+def test_ipca_bad_refinement_controls_fail_before_any_fit(tmp_path, capsys, flags):
+    # one chunk: no warm fit would ever reach the refinement's own check
+    inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
+    out = tmp_path / "z.csv"
+    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "z.json").exists()
 
 
 def test_ipca_reruns_are_byte_identical(tmp_path):
@@ -291,6 +306,24 @@ def test_estimate_alpha_prints_value_and_writes_curve(tmp_path, capsys):
     back = read_table(out)
     assert back.column_names == ["alpha", "loglik"]
     assert np.array_equal(back.data[:, 0], grid)
+
+
+def test_estimate_alpha_curve_bytes(tmp_path, monkeypatch):
+    # A stub curve pins the file format alone: CRLF line ends and %.17g.
+    def fixed_curve(data, grid, burn_in):
+        return grid[1], np.array([-1234.5, 1.0 / 3.0, -0.0])
+
+    monkeypatch.setattr("streampca.cli.estimate_alpha", fixed_curve)
+    inp = write_data(tmp_path, stationary_gaussian(50, 2, seed=1))
+    out = tmp_path / "curve.csv"
+    assert main(["estimate-alpha", str(inp), "--grid", "0.5:0.7:0.1",
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"alpha,loglik\r\n"
+        b"0.5,-1234.5\r\n"
+        b"0.59999999999999998,0.33333333333333331\r\n"
+        b"0.69999999999999996,-0\r\n"
+    )
 
 
 def test_estimate_alpha_singular_names_observation(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_missing_required_flag_exits_2(argv):
 
 
 TOP_KEYS = ["command", "params", "alpha", "eigenvalues", "iterations", "diagnostics"]
-EWM_PARAMS = ["input", "alpha", "warmup", "tol", "max_iter"]
+EWM_PARAMS = ["input", "alpha", "warmup", "tol", "max_iter", "grid", "burn_in"]
 
 
 @pytest.fixture
@@ -173,6 +173,8 @@ def test_ewmpca_sidecar_keys(tmp_path, table):
     assert list(sidecar) == TOP_KEYS
     assert list(sidecar["params"]) == EWM_PARAMS
     assert sidecar["params"]["alpha"] == "ml"
+    assert sidecar["params"]["grid"] == "0.9:0.98:0.04"
+    assert sidecar["params"]["burn_in"] is None
     assert list(sidecar["iterations"]) == ["observations", "refinements", "min", "max", "mean"]
     assert list(sidecar["diagnostics"]) == ["ml"]
     assert list(sidecar["diagnostics"]["ml"]) == ["argmax", "grid", "loglik"]

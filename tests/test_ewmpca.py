@@ -4,7 +4,7 @@ import pytest
 from streampca import refine
 from streampca.ewmpca import DEFAULT_SEED_ROWS, EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
-from streampca.refine import DivergenceError, estimate_eigenvalues
+from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import well_separated_covariance
 
 
@@ -96,6 +96,20 @@ def test_alpha_validation():
         EwmPCA(1.0)
 
 
+@pytest.mark.parametrize(
+    "controls",
+    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter_count": 0}],
+    ids=["tol=-1", "tol=0", "tol=nan", "max_iter_count=0"],
+)
+def test_refinement_controls_checked_when_built(controls):
+    # the kernel's check and message, before any row instead of at the second
+    with pytest.raises(ValueError) as kernel:
+        refine_to_convergence(np.eye(2), np.eye(2), **controls)
+    with pytest.raises(ValueError) as built:
+        EwmPCA(0.9, **controls)
+    assert str(built.value) == str(kernel.value)
+
+
 def test_initial_basis_must_be_near_orthonormal():
     with pytest.raises(ValueError, match="near-orthonormal"):
         EwmPCA(0.9, initial_basis=np.full((3, 3), 0.9))
@@ -114,6 +128,18 @@ def test_projection_consistency_and_ordering_along_stream():
         if i % 50 == 0:
             lam = estimate_eigenvalues(model.state.cov, model.basis)
             assert np.all(np.diff(lam) <= 0.0)
+
+
+def test_eigenvalues_are_the_last_refinements_estimates():
+    x = seeded_stream(300, 4, seed=4)
+    model = EwmPCA(0.97)
+    assert model.eigenvalues() is None
+    model.add(x[0])
+    assert model.eigenvalues() is None
+    for row in x[1:]:
+        model.add(row)
+        expected = estimate_eigenvalues(model.state.cov, model.basis)
+        assert np.array_equal(model.eigenvalues(), expected)
 
 
 def test_per_step_residual_audit_after_warmup():

@@ -3,7 +3,7 @@ import pytest
 
 from streampca.ipca import IteratedPCA
 from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
-from streampca.refine import DivergenceError, estimate_eigenvalues
+from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
 
 
@@ -176,6 +176,20 @@ def test_fit_column_count_must_stay_fixed():
 def test_fit_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2 rows"):
         IteratedPCA().fit(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize(
+    "controls",
+    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter_count": 0}],
+    ids=["tol=-1", "tol=0", "tol=nan", "max_iter_count=0"],
+)
+def test_refinement_controls_checked_when_built(controls):
+    # the kernel's check and message, before any fit instead of at the second
+    with pytest.raises(ValueError) as kernel:
+        refine_to_convergence(np.eye(2), np.eye(2), **controls)
+    with pytest.raises(ValueError) as built:
+        IteratedPCA(**controls)
+    assert str(built.value) == str(kernel.value)
 
 
 def _corrupt_fitted_model(seed=12):
