@@ -25,7 +25,7 @@ from .ewmpca import EwmPCA
 from .ewmstats import default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
-from .refine import DivergenceError
+from .refine import DivergenceError, _check_controls
 from .tableio import (
     ObservationTable,
     format_float,
@@ -224,7 +224,9 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
     """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA over
-    every row: (alpha, ML record or None, model, component series)."""
+    every row: (alpha, ML record or None, model, component series).  The
+    refinement controls are checked first, before the ML fit scores any row."""
+    _check_controls(args.tol, args.max_iter)
     if args.alpha == "ml":
         grid, alpha, curve = _fit_alpha(args, data)
         ml = {"argmax": alpha, "grid": grid.tolist(), "loglik": curve.tolist()}

@@ -23,7 +23,6 @@ from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
 from .linalg import (
     as_matrix,
     as_vector,
-    fix_column_signs,
     frobenius_norm,
     jacobi_eigh,
     sample_covariance,
@@ -46,7 +45,7 @@ def seed_initial_basis(x_head) -> np.ndarray:
     """Initial eigenbasis from the sample covariance of the leading rows.
 
     Needs at least p + 1 rows so the covariance can have full rank.  Column
-    signs are pinned the same way as a first PCA fit.
+    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.
     """
     head = as_matrix(x_head, "x_head")
     n, p = head.shape
@@ -55,7 +54,7 @@ def seed_initial_basis(x_head) -> np.ndarray:
             f"need at least p + 1 = {p + 1} rows to seed an initial basis, got {n}"
         )
     _, cov = sample_covariance(head)
-    return fix_column_signs(jacobi_eigh(cov).vectors)
+    return jacobi_eigh(cov).vectors
 
 
 class EwmPCA:

@@ -117,14 +117,19 @@ def ewm_update(state: EwmState, x) -> EwmState:
     return EwmState(alpha=a, mean=mean, cov=cov, count=state.count + 1)
 
 
-def _check_burn_in(burn_in: int | None, p: int) -> int:
-    if burn_in is None:
-        return 10 * p
-    burn_in = int(burn_in)
+def _check_burn_in(burn_in: int | None, n: int, p: int) -> int:
+    """The burn-in (default 10 p) of an n x p input, which must leave at
+    least one observation t > burn_in to score."""
+    burn_in = 10 * p if burn_in is None else int(burn_in)
     if burn_in < p + 1:
         raise ValueError(
             f"burn_in must be at least p + 1 = {p + 1} (S_t has rank < p before "
             f"that), got {burn_in}"
+        )
+    if burn_in >= n:
+        raise ValueError(
+            f"burn_in = {burn_in} leaves no observation to score: it must be "
+            f"below the row count n = {n}"
         )
     return burn_in
 
@@ -221,7 +226,8 @@ def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
 
     Terms with t <= burn_in are dropped (default burn_in: 10 p): the moving
     covariance has rank at most t - 1, so early terms are singular by
-    construction.  Factorizations are symmetric (Cholesky): ln det S is twice
+    construction.  A burn_in of n or more leaves no term and raises
+    ValueError.  Factorizations are symmetric (Cholesky): ln det S is twice
     the sum of the logs of the factor's diagonal, and the quadratic term is
     |L^{-1} e|^2.  A covariance that is singular to working precision (the
     factorization fails, or a pivot diag(L)_i^2 is at most p eps S_ii)
@@ -233,7 +239,7 @@ def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
     ``estimate_alpha(x, grid)[1][i] == ewm_loglik(x, grid[i])`` bit for bit.
     """
     mat = as_matrix(x, "X")
-    burn_in = _check_burn_in(burn_in, mat.shape[1])
+    burn_in = _check_burn_in(burn_in, *mat.shape)
     grid = np.array([_check_alpha(alpha)])
     return float(_loglik_curve(mat, grid, burn_in)[0])
 
@@ -262,6 +268,6 @@ def estimate_alpha(
         raise ValueError("grid values must lie strictly between 0 and 1")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be sorted in ascending order")
-    curve = _loglik_curve(mat, grid, _check_burn_in(burn_in, mat.shape[1]))
+    curve = _loglik_curve(mat, grid, _check_burn_in(burn_in, *mat.shape))
     best = int(np.argmax(curve))
     return float(grid[best]), curve

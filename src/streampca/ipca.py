@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, fix_column_signs, jacobi_eigh, sample_covariance
+from .linalg import as_matrix, jacobi_eigh, sample_covariance
 from .refine import DivergenceError, RefineDiagnostics, _check_controls, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
@@ -85,8 +85,7 @@ class IteratedPCA:
         diagnostics: RefineDiagnostics | None = None
         if not self.fitted:
             basis = jacobi_eigh(cov)
-            vectors = fix_column_signs(basis.vectors)
-            values = basis.values
+            vectors, values = basis.vectors, basis.values
         else:
             try:
                 vectors, diagnostics = refine_to_convergence(

@@ -47,12 +47,12 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def symmetrize(a, name: str = "matrix") -> np.ndarray:
+def symmetrize(a) -> np.ndarray:
     """(A + A^T)/2 for square A.  IEEE addition commutes, so the result is
     bit-identical whether built from A or A^T."""
-    arr = as_matrix(a, name)
+    arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+        raise ValueError(f"matrix must be square, got shape {arr.shape}")
     return (arr + arr.T) / 2.0
 
 
@@ -65,9 +65,9 @@ def frobenius_norm(m) -> float:
 def fix_column_signs(v) -> np.ndarray:
     """Flip columns so each column's largest-magnitude entry is positive.
 
-    Ties resolve to the lowest row index (np.argmax convention).  Used to pin
-    eigenvector signs on first fits; warm-started refits inherit signs from
-    the previous basis instead.
+    Ties resolve to the lowest row index (np.argmax convention).
+    ``jacobi_eigh`` pins its eigenvector signs this way; warm-started refits
+    inherit signs from the previous basis instead.
     """
     out = np.array(v, dtype=np.float64, copy=True)
     lead = np.argmax(np.abs(out), axis=0)
@@ -84,39 +84,57 @@ class EigenBasis:
     values: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summing a copy with the diagonal zeroed avoids the cancellation that a
-    # total-minus-diagonal formula hits once the off-diagonal mass is tiny.
-    od = a.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.sqrt(np.sum(od * od)))
+# Sweep cap of jacobi_eigh; reaching it raises (pathological input).
+MAX_SWEEPS = 100
 
 
-def jacobi_eigh(a, max_sweeps: int = 100) -> EigenBasis:
+def _rotate(m: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    """Replace columns p and q of m by [m_p, m_q] @ [[c, s], [-s, c]], in place."""
+    col_p = m[:, p].copy()
+    col_q = m[:, q].copy()
+    m[:, p] = c * col_p - s * col_q
+    m[:, q] = s * col_p + c * col_q
+
+
+def jacobi_eigh(a) -> EigenBasis:
     """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
 
     Each rotation zeroes one off-diagonal pair; sweeps repeat until the
     off-diagonal Frobenius mass drops below 1e-13 * max(1, ||A||_F), which
     leaves the residual ||A V - V diag(values)||_F comfortably under
-    1e-12 * max(1, ||A||_F).  Deterministic: fixed cyclic order, no randomness.
+    1e-12 * max(1, ||A||_F).  Column signs are pinned by ``fix_column_signs``.
+    Deterministic: fixed cyclic order, no randomness.
 
-    Raises RuntimeError if the sweep cap is reached (pathological input).
+    Raises OverflowError if ||A||_F overflows float64 (the stopping test
+    would then pass before any rotation) and RuntimeError if ``MAX_SWEEPS``
+    sweeps do not converge.
     """
-    work = symmetrize(a)
+    with np.errstate(over="ignore"):
+        work = symmetrize(a)
+        norm = frobenius_norm(work)
     n = work.shape[0]
+    if not math.isfinite(norm):
+        raise OverflowError(
+            f"Jacobi eigensolver: the Frobenius norm of the {n} x {n} input overflows "
+            f"float64 (largest entry {np.abs(work).max():.3e}); rescale the data"
+        )
+    rows = work.T  # rotating its columns rotates the rows of work
     vectors = np.eye(n)
-    stop = 1e-13 * max(1.0, frobenius_norm(work))
+    stop = 1e-13 * max(1.0, norm)
     # n*n entries at stop/n each still keep the off-norm at or below stop, so
-    # entries under this floor never need rotating (also keeps tau finite).
+    # entries under this floor never need rotating.  The floor also bounds
+    # |tau| = |aqq - app| / (2 |apq|) <= 2 ||A||_F / (2 stop / n) <= n * 1e13,
+    # so tau * tau cannot overflow.
     floor = stop / n
     sweep = 0
     while True:
-        off = _offdiag_norm(work)
+        # d - d == 0 exactly: no total-minus-diagonal cancellation
+        off = frobenius_norm(work - np.diag(work.diagonal()))
         if off <= stop:
             break
-        if sweep >= max_sweeps:
+        if sweep >= MAX_SWEEPS:
             raise RuntimeError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+                f"Jacobi eigensolver did not converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off:.3e})"
             )
         # Early sweeps skip entries too small to matter yet.
@@ -129,35 +147,22 @@ def jacobi_eigh(a, max_sweeps: int = 100) -> EigenBasis:
                 app = work[p, p]
                 aqq = work[q, q]
                 tau = (aqq - app) / (2.0 * apq)
-                if abs(tau) < 1e150:
-                    root = np.sqrt(1.0 + tau * tau)
-                    t = 1.0 / (tau + root) if tau >= 0.0 else 1.0 / (tau - root)
-                else:
-                    # tau^2 would overflow; the rotation angle is ~1/(2 tau)
-                    t = 1.0 / (2.0 * tau)
+                root = np.sqrt(1.0 + tau * tau)
+                t = 1.0 / (tau + root) if tau >= 0.0 else 1.0 / (tau - root)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
+                _rotate(work, p, q, c, s)
+                _rotate(rows, p, q, c, s)
                 # Analytic values for the rotated 2x2 block keep symmetry exact.
                 work[p, p] = app - t * apq
                 work[q, q] = aqq + t * apq
                 work[p, q] = 0.0
                 work[q, p] = 0.0
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
+                _rotate(vectors, p, q, c, s)
         sweep += 1
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")
-    return EigenBasis(vectors=vectors[:, order], values=values[order])
+    return EigenBasis(vectors=fix_column_signs(vectors[:, order]), values=values[order])
 
 
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:

@@ -55,10 +55,6 @@ class ObservationTable:
     def n_rows(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.data.shape[1]
-
 
 def _cell_error(path, lineno: int, names: list[str], cells: list[str]) -> ValueError:
     """The error for the first cell of a row, in column order, that is not a

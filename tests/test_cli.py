@@ -230,6 +230,18 @@ def test_ipca_bad_refinement_controls_fail_before_any_fit(tmp_path, capsys, flag
     assert not out.exists() and not (tmp_path / "z.json").exists()
 
 
+def test_ipca_overflowing_covariance_fails_and_writes_nothing(tmp_path, capsys):
+    # values ~1e78: finite covariance entries ~1e156 whose Frobenius norm
+    # overflows; the first fit used to exit 0 with the diagonal as eigenvalues
+    data = 1e78 * np.random.default_rng(21).standard_normal((300, 3))
+    inp = write_data(tmp_path, data)
+    out = tmp_path / "z.csv"
+    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out)])
+    assert rc == 1
+    assert "error: Jacobi eigensolver: the Frobenius norm" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "z.json").exists()
+
+
 def test_ipca_reruns_are_byte_identical(tmp_path):
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=10))
     out1, out2 = tmp_path / "z1.csv", tmp_path / "z2.csv"
@@ -280,6 +292,42 @@ def test_ewmpca_bad_alpha_is_an_error(tmp_path, capsys):
                "--output", str(tmp_path / "z.csv")])
     assert rc == 1
     assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "0"]], ids=["tol", "max-iter"])
+@pytest.mark.parametrize("command", ["ewmpca", "compare"])
+def test_ewm_bad_refinement_controls_fail_before_the_ml_fit(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the ML fit ran before the controls were checked")
+
+    monkeypatch.setattr("streampca.cli.estimate_alpha", no_fit)
+    inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
+    target = ["--output", str(tmp_path / "z.csv")] if command == "ewmpca" else [
+        "--output-prefix", str(tmp_path / "c_")]
+    rc = main([command, str(inp), "--alpha", "ml", *target, *flags])
+    assert rc == 1
+    expected = "tol must be positive, got -1.0" if flags[0] == "--tol" else (
+        "max_iter_count must be >= 1, got 0")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+@pytest.mark.parametrize("command", ["ewmpca", "estimate-alpha"])
+def test_default_burn_in_that_scores_no_row_fails(tmp_path, capsys, command):
+    # 80 x 9: the default burn-in 10 p = 90 drops every term; estimate-alpha
+    # used to print 0.5 (the argmax of a curve of -0) and ewmpca ran with it
+    inp = write_data(tmp_path, stationary_gaussian(80, 9, seed=3))
+    out = tmp_path / "z.csv"
+    alpha = ["--alpha", "ml"] if command == "ewmpca" else []
+    rc = main([command, str(inp), *alpha, "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "burn_in = 90 leaves no observation to score" in captured.err
+    assert "n = 80" in captured.err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,26 @@ def test_loglik_burn_in_validation():
         ewm_loglik(x, 0.9, burn_in=3)
 
 
+@pytest.mark.parametrize("burn_in", [None, 40, 41])
+def test_burn_in_that_scores_no_row_is_refused(burn_in):
+    # 40 x 4: the default burn-in of 10 p = 40 and any larger one drop every
+    # term t = 2..40, which used to return a curve of -0
+    x = np.random.default_rng(4).standard_normal((40, 4))
+    expected = 40 if burn_in is None else burn_in
+    message = f"burn_in = {expected} leaves no observation to score.*n = 40"
+    with pytest.raises(ValueError, match=message):
+        ewm_loglik(x, 0.9, burn_in=burn_in)
+    with pytest.raises(ValueError, match=message):
+        estimate_alpha(x, [0.8, 0.9], burn_in=burn_in)
+
+
+def test_burn_in_one_below_n_scores_the_last_row():
+    x = np.random.default_rng(4).standard_normal((40, 4))
+    value = ewm_loglik(x, 0.9, burn_in=39)
+    assert value != 0.0
+    assert value == pytest.approx(loop_loglik(x, 0.9, 39), rel=1e-12)
+
+
 def test_loglik_default_burn_in_is_ten_p():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((120, 2))

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streampca import linalg
 from streampca.linalg import (
     as_matrix,
     as_vector,
@@ -138,10 +141,48 @@ def test_jacobi_deterministic():
     assert np.array_equal(b1.values, b2.values)
 
 
-def test_jacobi_sweep_cap_raises():
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     a, _ = well_separated_symmetric(6, seed=9)
     with pytest.raises(RuntimeError, match="did not converge"):
-        jacobi_eigh(a, max_sweeps=0)
+        jacobi_eigh(a)
+
+
+def test_jacobi_overflowing_norm_raises_before_any_warning():
+    a, _ = well_separated_symmetric(5, seed=3)
+    # 1e155 * A: every entry is finite, ||A||_F is not; the stopping test used
+    # to pass at once and return the diagonal as the eigenvalues
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="Frobenius norm of the 5 x 5 input overflows"):
+            jacobi_eigh(1e155 * a)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 30),
+    st.floats(-150.0, 150.0),
+    st.sampled_from(["dense", "clustered", "split"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_jacobi_fresh_eigenbasis_contract(seed, dim, exponent, shape):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim))
+    noise = (m + m.T) / 2.0
+    if shape == "dense":
+        a = noise
+    elif shape == "clustered":
+        a = np.diag(1.0 + 1e-8 * rng.standard_normal(dim)) + 1e-14 * noise
+    else:
+        a = np.diag(10.0 ** rng.uniform(-12.0, 0.0, dim)) + 1e-9 * noise
+    a = 10.0**exponent * a
+    basis = jacobi_eigh(a)
+    res, orth = _residuals(a, basis)
+    assert res <= 1e-12
+    assert orth <= 1e-12
+    assert np.all(np.diff(basis.values) <= 0.0)
+    lead = np.argmax(np.abs(basis.vectors), axis=0)
+    assert np.all(basis.vectors[lead, np.arange(dim)] > 0.0)
 
 
 def test_jacobi_dim_one():
