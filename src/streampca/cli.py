@@ -22,7 +22,7 @@ import numpy as np
 
 from . import synth
 from .ewmpca import EwmPCA
-from .ewmstats import default_alpha_grid, estimate_alpha
+from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
 from .refine import DivergenceError, _check_controls
@@ -172,8 +172,8 @@ def cmd_ipca(args) -> None:
                 "rerun with --reseed to restart that chunk from a fresh "
                 "eigendecomposition"
             ) from err
-        except ValueError as err:
-            raise ValueError(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
+        except (ValueError, OverflowError) as err:
+            raise type(err)(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
         diag = model.last_fit_diagnostics_
         if k > 0 and diag is None:
             reseeded.append(k)
@@ -215,11 +215,12 @@ def _iteration_summary(counts: list[int]) -> dict:
     }
 
 
-def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """ML decay over --grid (default grid) with --burn-in: (grid, argmax, curve)."""
+def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """ML decay over --grid (default grid) with --burn-in: (grid, argmax, curve,
+    the burn-in the fit used, 10 x p when --burn-in is left out)."""
     grid = parse_grid_spec(args.grid) if args.grid else default_alpha_grid()
     alpha, curve = estimate_alpha(data, grid=grid, burn_in=args.burn_in)
-    return grid, alpha, curve
+    return grid, alpha, curve, _check_burn_in(args.burn_in, *data.shape)
 
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
@@ -228,8 +229,13 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
     refinement controls are checked first, before the ML fit scores any row."""
     _check_controls(args.tol, args.max_iter)
     if args.alpha == "ml":
-        grid, alpha, curve = _fit_alpha(args, data)
-        ml = {"argmax": alpha, "grid": grid.tolist(), "loglik": curve.tolist()}
+        grid, alpha, curve, burn_in = _fit_alpha(args, data)
+        ml = {
+            "argmax": alpha,
+            "grid": grid.tolist(),
+            "loglik": curve.tolist(),
+            "burn_in": burn_in,
+        }
     else:
         try:
             alpha = float(args.alpha)
@@ -281,14 +287,14 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 
 def cmd_estimate_alpha(args) -> None:
     table = read_table(args.input)
-    grid, alpha, curve = _fit_alpha(args, table.data)
+    grid, alpha, curve, burn_in = _fit_alpha(args, table.data)
     write_table(args.output, ObservationTable(["alpha", "loglik"], np.column_stack([grid, curve])))
     _write_sidecar(
         _sidecar_path(args.output),
         "estimate-alpha",
         _pick(args, "input", "grid", "burn_in"),
         alpha=alpha,
-        diagnostics={"grid_size": int(grid.shape[0])},
+        diagnostics={"grid_size": int(grid.shape[0]), "burn_in": burn_in},
     )
     print(format_float(alpha))
     _info(f"estimate-alpha: wrote likelihood curve to {args.output}")
@@ -296,7 +302,7 @@ def cmd_estimate_alpha(args) -> None:
 
 def cmd_compare(args) -> None:
     table = read_table(args.input)
-    alpha, _, model, z_moving = _run_ewm(args, table.data)
+    alpha, ml, model, z_moving = _run_ewm(args, table.data)
     pca = IteratedPCA()
     z_classic = pca.fit_transform(table.data)
     cov = cross_covariance(z_classic, z_moving)
@@ -308,6 +314,11 @@ def cmd_compare(args) -> None:
     write_labeled_matrix(f"{prefix}crosscovariance.csv", cov, rows, cols, corner="component")
     write_labeled_matrix(f"{prefix}crosscorrelation.csv", corr, rows, cols, corner="component")
     off = corr[~np.eye(p, dtype=bool)]
+    diagnostics = {
+        "max_abs_offdiag_crosscorr": float(np.max(np.abs(off))) if off.size else None
+    }
+    if ml is not None:
+        diagnostics["ml"] = ml
     _write_sidecar(
         f"{prefix}run.json",
         "compare",
@@ -315,9 +326,7 @@ def cmd_compare(args) -> None:
         alpha=alpha,
         eigenvalues=pca.explained_variance_.tolist(),
         iterations=_iteration_summary(model.iteration_counts),
-        diagnostics={
-            "max_abs_offdiag_crosscorr": float(np.max(np.abs(off))) if off.size else None
-        },
+        diagnostics=diagnostics,
     )
     _info(f"compare: wrote {prefix}crosscovariance.csv and {prefix}crosscorrelation.csv")
 

@@ -159,6 +159,8 @@ class EwmPCA:
             raise DivergenceError(
                 f"eigenbasis refinement diverged at observation {state.count}: {err}"
             ) from err
+        except OverflowError as err:
+            raise OverflowError(f"observation {state.count}: {err}") from err
         self._ewm = state
         self._basis = basis
         self._eigenvalues = diagnostics.eigenvalues

@@ -20,12 +20,22 @@ early terms are singular by construction.  ``estimate_alpha`` grid-searches
 this likelihood; it is cheap, one-dimensional, and fully deterministic.
 
 The whole grid is scored in one pass over the rows: the moments of all G
-decays advance together as (G, p) means and (G, p, p) covariances, and each
-scored row factors all G covariances with one batched Cholesky.  Grids whose
-(G, p, p) working set would exceed ``_GRID_BLOCK_BYTES`` are scored in
-blocks of decays.  ``ewm_loglik`` is the same computation with G = 1; the
-decays are independent and the arithmetic is elementwise, so a curve entry
-equals the standalone value bit for bit whatever the grid or its blocking.
+decays advance together as (G, p) means and (G, p, p) covariances.  The
+rows run in blocks.  Within a block the mean and covariance recursions
+still advance one row at a time, with ``ewm_update``'s elementwise
+arithmetic; the terms that do not feed back, (1 - alpha) x_t, the errors
+x_t - m_{t-1} and the rank-one updates, are formed once per block.  The
+S_{t-1} of every scored row of a block stay in a stack, and one batched
+Cholesky call factors all of them; L^{-1} e then comes from a forward
+substitution that runs across the whole stack, p vector steps in all.  A
+block holds at most ``_ROW_BLOCK_BYTES`` of covariances, so memory stays
+flat; once a single row's (G, p, p) stack exceeds that, each block holds
+one row.  Grids whose (G, p, p) working set would exceed
+``_GRID_BLOCK_BYTES`` are scored in blocks of decays.  ``ewm_loglik`` is
+the same computation with G = 1; the decays are independent, the
+arithmetic is elementwise and every sum runs over p entries in a fixed
+order, so a curve entry equals the standalone value bit for bit whatever
+the grid or its blocking, of decays or of rows.
 A covariance that is singular to working precision raises
 ``SingularCovarianceError`` with the earliest failing observation ``t`` and,
 of the decays failing there, the ``alpha`` lowest in the grid.  Singular
@@ -56,9 +66,16 @@ __all__ = [
 
 # Bytes that the (G, p, p) arrays of one block of decays may hold: the
 # covariances, their rank-one updates and their Cholesky factors, three at a
-# time (a block always holds at least one decay).  At p = 100 the default
-# 500-value grid would need 120 MB at once; it runs in blocks of 139.
+# time when a block of rows holds one row (a block always holds at least one
+# decay).  At p = 100 the default 500-value grid would need 120 MB at once;
+# it runs in blocks of 139.
 _GRID_BLOCK_BYTES = 32 * 2**20
+
+# Bytes of covariances that one block of rows may hold (their rank-one
+# updates and Cholesky factors take as much again).  A 19-value grid at
+# p = 9 runs 10 rows per block; a block of decays whose (G, p, p) stack
+# alone exceeds this budget runs one row per block.
+_ROW_BLOCK_BYTES = 128 * 2**10
 
 
 class SingularCovarianceError(RuntimeError):
@@ -139,53 +156,106 @@ def _small_pivots(diag_l: np.ndarray, cov: np.ndarray, tiny: float) -> np.ndarra
     return diag_l * diag_l <= tiny * np.diagonal(cov, axis1=-2, axis2=-1)
 
 
+def _forward_substitute(chol: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """L^{-1} e for a stack of lower-triangular factors ``chol`` (..., p, p) and
+    vectors ``e`` (..., p), as a C-contiguous (M, p) array, M the stack size.
+
+    Forward substitution one column of L at a time, each step elementwise
+    across the stack, so the solution of one system does not depend on the
+    stack it sits in.  The stack runs along the contiguous axis of a working
+    copy of ``e``, so each step is a few long vector operations.
+    """
+    p = e.shape[-1]
+    cols = chol.reshape(-1, p, p).T  # cols[i, j] = L[j, i] across the stack
+    y = e.reshape(-1, p).T.copy()  # y[i] = e_i across the stack
+    for i in range(p):
+        y[i] /= cols[i, i]
+        y[i + 1 :] -= cols[i, i + 1 :] * y[i]
+    return np.ascontiguousarray(y.T)
+
+
+def _score_rows(covs: np.ndarray, errors: np.ndarray, total: np.ndarray, tiny: float):
+    """Add ln det S + |L^{-1} e|^2 of each stashed row to ``total``, in row
+    order, from one Cholesky call on the (R, G, p, p) stack ``covs`` and the
+    (R, G, p) stack ``errors``.
+
+    Returns None, or (row, decay) of the first covariance in row-major order
+    that is singular (see the module docstring), with ``total`` then partial.
+    """
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        # cold path: name the first covariance that fails either test
+        for i, k in np.ndindex(covs.shape[:2]):
+            try:
+                chol_ik = np.linalg.cholesky(covs[i, k])
+            except np.linalg.LinAlgError:
+                return i, k
+            if _small_pivots(np.diagonal(chol_ik), covs[i, k], tiny).any():
+                return i, k
+        raise
+    diag_l = np.diagonal(chol, axis1=-2, axis2=-1)
+    small = _small_pivots(diag_l, covs, tiny).any(axis=-1)
+    if small.any():
+        i = int(np.argmax(small.any(axis=1)))
+        return i, int(np.argmax(small[i]))
+    y = _forward_substitute(chol, errors)
+    # each sum runs along a contiguous axis of length p, whatever R and G
+    terms = 2.0 * np.log(diag_l).sum(axis=-1) + (y * y).sum(axis=-1).reshape(small.shape)
+    for row in terms:
+        total += row
+    return None
+
+
 def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     """Sum of ln det S_{t-1} + e^T S_{t-1}^{-1} e over t > burn_in, per decay.
 
     Returns the (G,) sums and None, or, at the first row with a singular
-    covariance (see the module docstring), the partial sums and (t, lowest
+    covariance (see the module docstring), partial sums and (t, lowest
     failing index into ``alphas``).
-    The recursions repeat ``ewm_update``'s elementwise arithmetic exactly.
+    The rows run in blocks of at most ``_ROW_BLOCK_BYTES`` of covariances.
+    The mean and covariance recursions still advance one row at a time with
+    ``ewm_update``'s elementwise arithmetic; only the terms that do not feed
+    back, (1 - alpha) x_t, the errors and the rank-one updates, are formed
+    for the whole block at once.
     """
     n, p = mat.shape
+    g = alphas.shape[0]
     tiny = p * np.finfo(np.float64).eps
-    a = alphas[:, None]
-    b = 1.0 - a
-    a3 = a[:, :, None]
+    a = np.repeat(alphas[:, None], p, axis=1)  # full shape: no broadcast per row
+    a3 = alphas[:, None, None]
+    b = 1.0 - alphas[:, None]
     b3 = b[:, :, None]
-    mean = np.repeat(mat[:1], alphas.shape[0], axis=0)
-    cov = np.zeros((alphas.shape[0], p, p))
-    total = np.zeros(alphas.shape[0])
-    for t in range(2, n + 1):
-        x_t = mat[t - 1]
-        if t > burn_in:
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                # cold path: name the lowest decay that fails either test here
-                for k in range(alphas.shape[0]):
-                    try:
-                        chol_k = np.linalg.cholesky(cov[k])
-                    except np.linalg.LinAlgError:
-                        return total, (t, k)
-                    if _small_pivots(np.diagonal(chol_k), cov[k], tiny).any():
-                        return total, (t, k)
-                raise
-            diag_l = np.diagonal(chol, axis1=1, axis2=2)
-            small = _small_pivots(diag_l, cov, tiny)
-            if small.any():
-                return total, (t, int(np.argmax(small.any(axis=1))))
-            e = x_t - mean
-            y = np.linalg.solve(chol, e[:, :, None])[:, :, 0]
-            logdet = 2.0 * np.log(diag_l).sum(axis=1)
-            total += logdet + (y * y).sum(axis=1)
-            del chol, diag_l  # keeps at most three (G, p, p) arrays alive
-        mean = b * x_t + a * mean
-        d = x_t - mean
-        rank_one = d[:, :, None] * d[:, None, :]
+    size = max(1, min(n - 1, _ROW_BLOCK_BYTES // (8 * g * p * p)))
+    # Slot r holds m_{t-1} and S_{t-1} of the block's r-th row t.  The
+    # block's last covariance update goes to slot 0 after the block is
+    # scored, so a one-row block updates its covariances in place.
+    means = np.empty((size + 1, g, p))
+    covs = np.zeros((size, g, p, p))
+    means[0] = mat[0]
+    total = np.zeros(g)
+    for lo in range(1, n, size):
+        x = mat[lo : lo + size, None, :]  # rows t = lo + 1, ..., lo + k
+        k = x.shape[0]
+        step = b * x
+        for r in range(k):
+            # (1 - alpha) x_t + alpha m_{t-1}: IEEE addition commutes
+            np.multiply(means[r], a, out=means[r + 1])
+            means[r + 1] += step[r]
+        d = x - means[1 : k + 1]
+        rank_one = d[..., :, None] * d[..., None, :]
         rank_one *= b3
-        cov *= a3
-        cov += rank_one
+        for r in range(k - 1):
+            np.multiply(covs[r], a3, out=covs[r + 1])
+            covs[r + 1] += rank_one[r]
+        first = min(max(0, burn_in - lo), k)  # rows r >= first are scored
+        if first < k:
+            failure = _score_rows(covs[first:k], x[first:] - means[first:k], total, tiny)
+            if failure is not None:
+                return total, (lo + 1 + first + failure[0], failure[1])
+        np.multiply(covs[k - 1], a3, out=covs[0])
+        covs[0] += rank_one[k - 1]
+        means[0] = means[k]
     return total, None
 
 

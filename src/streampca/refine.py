@@ -162,13 +162,21 @@ def refine_to_convergence(
 
     Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
     the first step norm: the initial guess is too far off (or the spectrum
-    too clustered) for the iteration to contract.
+    too clustered) for the iteration to contract.  Raises OverflowError
+    before the first step when ||A|| overflows float64.
     """
     _check_controls(tol, max_iter_count)
     a, x = _check_pair(a, xhat)
     cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
-    norm_a = frobenius_norm(a)
+    with np.errstate(over="ignore"):
+        norm_a = frobenius_norm(a)
+    if not math.isfinite(norm_a):
+        n = a.shape[0]
+        raise OverflowError(
+            f"refinement: the Frobenius norm of the {n} x {n} input overflows "
+            f"float64 (largest entry {np.abs(a).max():.3e}); rescale the data"
+        )
     steps: list[float] = []
     while True:
         new_x = _step(a, x, eye, norm_a)

@@ -238,7 +238,39 @@ def test_ipca_overflowing_covariance_fails_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "z.csv"
     rc = main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out)])
     assert rc == 1
-    assert "error: Jacobi eigensolver: the Frobenius norm" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: chunk 0 (rows 1-300): Jacobi eigensolver: the Frobenius norm" in err
+    assert not out.exists() and not (tmp_path / "z.json").exists()
+
+
+def overflowing_tail():
+    # 600 x 3, the last 300 rows scaled by 1e78: the covariance entries stay
+    # finite (~1e156), their Frobenius norm does not
+    data = stationary_gaussian(600, 3, seed=5)
+    data[300:] *= 1e78
+    return data
+
+
+def test_ipca_warm_chunk_overflow_names_the_chunk(tmp_path, capsys):
+    inp = write_data(tmp_path, overflowing_tail())
+    out = tmp_path / "z.csv"
+    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: chunk 1 (rows 301-600): refinement: the Frobenius norm of the 3 x 3 "
+        "input overflows float64"
+    )
+    assert not out.exists() and not (tmp_path / "z.json").exists()
+
+
+def test_ewmpca_overflow_names_the_observation(tmp_path, capsys):
+    inp = write_data(tmp_path, overflowing_tail())
+    out = tmp_path / "z.csv"
+    rc = main(["ewmpca", str(inp), "--alpha", "0.97", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: observation 301: refinement: the Frobenius norm")
     assert not out.exists() and not (tmp_path / "z.json").exists()
 
 

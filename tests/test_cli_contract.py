@@ -120,6 +120,7 @@ def test_missing_required_flag_exits_2(argv):
 
 TOP_KEYS = ["command", "params", "alpha", "eigenvalues", "iterations", "diagnostics"]
 EWM_PARAMS = ["input", "alpha", "warmup", "tol", "max_iter", "grid", "burn_in"]
+ML_KEYS = ["argmax", "grid", "loglik", "burn_in"]
 
 
 @pytest.fixture
@@ -177,7 +178,9 @@ def test_ewmpca_sidecar_keys(tmp_path, table):
     assert sidecar["params"]["burn_in"] is None
     assert list(sidecar["iterations"]) == ["observations", "refinements", "min", "max", "mean"]
     assert list(sidecar["diagnostics"]) == ["ml"]
-    assert list(sidecar["diagnostics"]["ml"]) == ["argmax", "grid", "loglik"]
+    assert list(sidecar["diagnostics"]["ml"]) == ML_KEYS
+    # --burn-in left out: the fit used 10 x p of the 300 x 3 table
+    assert sidecar["diagnostics"]["ml"]["burn_in"] == 30
 
 
 def test_estimate_alpha_sidecar_keys(tmp_path, table):
@@ -186,7 +189,17 @@ def test_estimate_alpha_sidecar_keys(tmp_path, table):
     sidecar = read_sidecar(tmp_path / "c.json")
     assert list(sidecar) == TOP_KEYS
     assert list(sidecar["params"]) == ["input", "grid", "burn_in"]
-    assert sidecar["diagnostics"] == {"grid_size": 3}
+    assert sidecar["diagnostics"] == {"grid_size": 3, "burn_in": 30}
+    assert list(sidecar["diagnostics"]) == ["grid_size", "burn_in"]
+
+
+def test_estimate_alpha_sidecar_records_a_given_burn_in(tmp_path, table):
+    out = tmp_path / "c.csv"
+    assert main(["estimate-alpha", table, "--grid", "0.9:0.98:0.04", "--burn-in", "50",
+                 "--output", str(out)]) == 0
+    sidecar = read_sidecar(tmp_path / "c.json")
+    assert sidecar["params"]["burn_in"] == 50
+    assert sidecar["diagnostics"] == {"grid_size": 3, "burn_in": 50}
 
 
 def test_compare_sidecar_keys(tmp_path, table):
@@ -197,3 +210,15 @@ def test_compare_sidecar_keys(tmp_path, table):
     assert list(sidecar["params"]) == EWM_PARAMS
     assert list(sidecar["iterations"]) == ["refinements", "min", "max", "mean"]
     assert list(sidecar["diagnostics"]) == ["max_abs_offdiag_crosscorr"]
+
+
+def test_compare_ml_sidecar_keys(tmp_path, table):
+    prefix = str(tmp_path / "cmp_")
+    assert main(["compare", table, "--alpha", "ml", "--grid", "0.9:0.98:0.04",
+                 "--output-prefix", prefix]) == 0
+    sidecar = read_sidecar(tmp_path / "cmp_run.json")
+    assert list(sidecar) == TOP_KEYS
+    assert list(sidecar["diagnostics"]) == ["max_abs_offdiag_crosscorr", "ml"]
+    assert list(sidecar["diagnostics"]["ml"]) == ML_KEYS
+    assert sidecar["diagnostics"]["ml"]["burn_in"] == 30
+    assert sidecar["diagnostics"]["ml"]["argmax"] == sidecar["alpha"]

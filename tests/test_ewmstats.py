@@ -330,6 +330,99 @@ def test_blocked_grid_raises_like_unblocked(monkeypatch):
     assert str(blocked.value) == str(whole.value)
 
 
+def rows_per_block(monkeypatch, rows, g, p):
+    """Set the row budget so that a block of g decays at dimension p holds
+    ``rows`` rows."""
+    monkeypatch.setattr(ewmstats, "_ROW_BLOCK_BYTES", rows * 8 * g * p * p)
+
+
+def test_row_blocks_are_bit_identical(monkeypatch):
+    x = volatility_cluster(300, 3, persistence=0.95, seed=13)
+    grid = [0.8, 0.85, 0.9, 0.95, 0.97]
+    curves = []
+    for rows in (1, 3, x.shape[0]):
+        rows_per_block(monkeypatch, rows, len(grid), 3)
+        curves.append(estimate_alpha(x, grid, burn_in=30)[1])
+        # ewm_loglik is the same path with G = 1 and as many rows per block
+        assert [ewm_loglik(x, g, burn_in=30) for g in grid] == curves[-1].tolist()
+    assert all(np.array_equal(c, curves[0]) for c in curves[1:])
+
+
+def rank_drop():
+    # p = 2, the second column a multiple of the first from row 61 on: the
+    # full-rank past decays away, and for alpha = 0.5 the relative pivot test
+    # fails at t = 114, where Cholesky still goes through
+    x = np.random.default_rng(3).standard_normal((260, 2))
+    x[60:, 1] = 2.0 * x[60:, 0]
+    return x
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "data, grid, factorizable",
+    [(zero_tail, [0.5, 0.5, 0.99, 0.99, 0.995], False), (rank_drop, [0.5, 0.6, 0.9], True)],
+    ids=["cholesky-fails", "pivot-test"],
+)
+def test_singular_row_anywhere_in_a_block_raises_as_one_row_blocks(
+    monkeypatch, data, grid, factorizable, position
+):
+    x = data()
+    rows_per_block(monkeypatch, 1, len(grid), x.shape[1])
+    with pytest.raises(SingularCovarianceError) as alone:
+        estimate_alpha(x, grid, burn_in=5)
+    t = alone.value.t
+    state = run_recursion(x[: t - 1], alone.value.alpha)[-1]
+    if factorizable:
+        np.linalg.cholesky(state.cov)
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(state.cov)
+    # blocks start at t = 2; this sets where t falls in its block
+    rows = {"first": t - 2, "middle": t + 20, "last": t - 1}[position]
+    index = (t - 2) % rows
+    assert {"first": index == 0, "middle": 0 < index < rows - 1, "last": index == rows - 1}[
+        position
+    ]
+    rows_per_block(monkeypatch, rows, len(grid), x.shape[1])
+    with pytest.raises(SingularCovarianceError) as blocked:
+        estimate_alpha(x, grid, burn_in=5)
+    assert (blocked.value.t, blocked.value.alpha) == (t, alone.value.alpha)
+    assert str(blocked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "singular",
+    [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0 + np.finfo(float).eps]])],
+    ids=["cholesky-fails", "pivot-test"],
+)
+def test_score_rows_names_the_first_row_then_its_lowest_decay(singular):
+    # three rows of three decays: row 1 fails at decay 2, row 2 at decay 0
+    covs = np.tile(np.eye(2), (3, 3, 1, 1))
+    covs[1, 2] = covs[2, 0] = singular
+    total = np.zeros(3)
+    tiny = 2 * np.finfo(float).eps
+    assert ewmstats._score_rows(covs, np.ones((3, 3, 2)), total, tiny) == (1, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 9, 16])
+@pytest.mark.parametrize("stack", [(1,), (7,), (3, 4)])
+def test_forward_substitution_matches_solve(p, stack):
+    rng = np.random.default_rng(100 * p + len(stack))
+    # well conditioned: eigenvalues in [1, 4]
+    q = np.linalg.qr(rng.standard_normal(stack + (p, p)))[0]
+    values = rng.uniform(1.0, 4.0, stack + (1, p))
+    chol = np.linalg.cholesky((q * values) @ np.swapaxes(q, -1, -2))
+    e = rng.standard_normal(stack + (p,))
+    y = ewmstats._forward_substitute(chol, e).reshape(e.shape)
+    expected = np.linalg.solve(chol, e[..., None])[..., 0]
+    err = np.linalg.norm(y - expected, axis=-1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=-1))
+    # each system's solution does not depend on the stack it sits in
+    flat_chol, flat_e = chol.reshape(-1, p, p), e.reshape(-1, p)
+    alone = [ewmstats._forward_substitute(c, v)[0] for c, v in zip(flat_chol, flat_e)]
+    assert np.array_equal(np.array(alone), y.reshape(-1, p))
+
+
 # ---------------------------------------------------------------------------
 # estimate_alpha
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,3 +282,25 @@ def test_norm_of_a_is_taken_once_per_call(monkeypatch):
         # per step: ||S - D||, ||R|| and the step norm
         assert len(seen) == 1 + 3 * diag.iterations
         assert np.array_equal(out, expected)
+
+
+def test_overflowing_norm_raises_before_any_warning():
+    a, _ = well_separated_symmetric(5, seed=3)
+    # 1e155 * A: every entry is finite, ||A||_F is not; the first step used to
+    # warn of an overflow and then fail on a threshold delta = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="refinement: the Frobenius norm of the 5 x 5 input overflows"):
+            refine_to_convergence(1e155 * a, np.eye(5))
+
+
+def test_ewm_add_names_the_overflowing_observation():
+    x = stationary_gaussian(40, 3, seed=5)
+    x[30:] *= 1e78
+    model = EwmPCA(0.97)
+    for row in x[:30]:
+        model.add(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^observation 31: refinement: the Frobenius norm"):
+            model.add(x[30])

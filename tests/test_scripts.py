@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts: exit 0 and the files each writes."""
+"""Smoke runs of the scripts: exit 0 and the files each writes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,19 @@ def test_script_runs_and_writes(tmp_path, script, args, written):
     assert proc.returncode == 0, proc.stderr
     assert sorted(f.name for f in out.iterdir()) == sorted(written)
     assert all((out / name).stat().st_size > 0 for name in written)
+
+
+def test_cli_snapshot_captures_every_command(tmp_path):
+    spec = importlib.util.spec_from_file_location("cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    out = tmp_path / "snap"
+    # exit 0: every error-* case exited 1 and every other case 0
+    assert snapshot.main([str(out)]) == 0
+    cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
+    for case in cases:
+        assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
+        assert (out / f"{case}.stdout").exists() and (out / f"{case}.stderr").exists()
+    assert (out / "estimate-alpha-default.csv").stat().st_size > 0
+    assert (out / "compare-ml_run.json").stat().st_size > 0
+    assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
