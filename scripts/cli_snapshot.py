@@ -31,6 +31,8 @@ SYNTH = [
                   "--seed", "3", "--output", "vc.csv"]),
     ("synth-short", ["--kind", "stationary-gaussian", "--rows", "80", "--cols", "9",
                      "--seed", "4", "--output", "short.csv"]),
+    ("synth-wide", ["--kind", "stationary-gaussian", "--rows", "150", "--cols", "48",
+                    "--seed", "2", "--output", "wide.csv"]),
 ]
 ML_GRID = ["--grid", "0.9:0.99:0.01"]
 # (case, argv); the cases named error-* are expected to exit 1
@@ -60,6 +62,9 @@ COMMANDS = [
     ("error-ipca-overflow-warm-chunk", ["ipca", "overflow_tail.csv", "--chunk-spec",
                                         "chunk=300"]),
     ("error-ewmpca-overflow", ["ewmpca", "overflow_tail.csv", "--alpha", "0.97"]),
+    ("error-ewmpca-overflow-seed", ["ewmpca", "overflow_head.csv", "--alpha", "0.97"]),
+    ("error-compare-overflow-seed", ["compare", "overflow_head.csv", "--alpha", "0.97"]),
+    ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
     ("error-ewmpca-ml-bad-tol", ["ewmpca", "vc.csv", "--alpha", "ml", "--tol", "-1"]),
     ("error-compare-ml-bad-max-iter", ["compare", "vc.csv", "--alpha", "ml", "--max-iter", "0"]),
@@ -67,6 +72,9 @@ COMMANDS = [
     ("error-ewmpca-ml-short", ["ewmpca", "short.csv", "--alpha", "ml"]),
     ("error-estimate-alpha-singular", ["estimate-alpha", "rank_one.csv", *ML_GRID,
                                        "--burn-in", "5"]),
+    # alpha = 0.5 is too low for 48 columns: alpha^p < p eps
+    ("error-estimate-alpha-wide", ["estimate-alpha", "wide.csv", "--grid", "0.5:0.9:0.4",
+                                   "--burn-in", "60"]),
     ("error-ipca-missing-input", ["ipca", "missing.csv", "--chunk-spec", "chunk=10"]),
 ]
 
@@ -99,6 +107,9 @@ def derive_inputs(outdir: Path) -> None:
         for i, row in enumerate(rows)
     ]
     (outdir / "stamped.csv").write_text("\r\n".join(stamped) + "\r\n", newline="")
+    # the second day's date does not exist: every row of that day is bad
+    bad_date = [line.replace("2021-01-05", "2021-02-30") for line in stamped]
+    (outdir / "bad_date.csv").write_text("\r\n".join(bad_date) + "\r\n", newline="")
     # one half scaled by 1e78: finite entries, an overflowing ||S||_F
     half = len(rows) // 2
     scaled = [",".join(f"{float(v) * 1e78:.17g}" for v in row.split(",")) for row in rows]

@@ -82,17 +82,17 @@ def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
         return [(lo, min(lo + value, n)) for lo in range(0, n, value)]
     if table.timestamps is None:
         raise ValueError(f"chunk spec 'by={value}' needs a timestamp column in the input")
-    width = _BY_PREFIX[value]
-    keys = []
-    for i, ts in enumerate(table.timestamps):
-        head = ts[:10]
+    heads = [ts[:10] for ts in table.timestamps]
+    for head in dict.fromkeys(heads):  # each distinct date once, first seen first
         try:
             date.fromisoformat(head)
         except ValueError:
+            i = heads.index(head)
             raise ValueError(
-                f"line {i + 2}: timestamp {ts!r} is not ISO-8601 (YYYY-MM-DD...)"
+                f"line {i + 2}: timestamp {table.timestamps[i]!r} is not ISO-8601 (YYYY-MM-DD...)"
             ) from None
-        keys.append(ts[:width])
+    width = _BY_PREFIX[value]
+    keys = [ts[:width] for ts in table.timestamps]
     bounds: list[tuple[int, int]] = []
     lo = 0
     for i in range(1, n):

@@ -183,7 +183,10 @@ class EwmPCA:
         if n > 0 and self._ewm is None and self._basis is None:
             head = arr[: min(DEFAULT_SEED_ROWS, n)]
             if head.shape[0] >= p + 1:
-                self._basis = seed_initial_basis(head)
+                try:
+                    self._basis = seed_initial_basis(head)
+                except (OverflowError, RuntimeError) as err:
+                    raise type(err)(f"seed rows 1-{head.shape[0]}: {err}") from err
         out = np.empty((n, p))
         for i in range(n):
             out[i] = self.add(arr[i])

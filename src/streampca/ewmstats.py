@@ -47,6 +47,7 @@ the relative test makes the failing observation independent of rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,26 @@ _ROW_BLOCK_BYTES = 128 * 2**10
 
 class SingularCovarianceError(RuntimeError):
     """The moving covariance of decay ``alpha`` could not be factorized when
-    scoring observation ``t`` (1-based)."""
+    scoring observation ``t`` (1-based).
 
-    def __init__(self, t: int, alpha: float):
+    Given the dimension ``p``, the message also says when the decay alone
+    explains it: with alpha^p < p eps, only the ln(p eps) / ln(alpha) < p most
+    recent rows weigh more than p eps of the newest, so no moving covariance
+    of that decay has full rank to working precision."""
+
+    def __init__(self, t: int, alpha: float, p: int | None = None):
         self.t = t
         self.alpha = alpha
-        super().__init__(
-            f"moving covariance matrix is singular at observation t={t} (alpha={alpha})"
-        )
+        message = f"moving covariance matrix is singular at observation t={t} (alpha={alpha})"
+        eps = np.finfo(np.float64).eps
+        if p is not None and alpha**p < p * eps:
+            message += (
+                f"; at this decay only about {int(math.log(p * eps) / math.log(alpha))} recent "
+                f"rows weigh more than p*eps of the newest, fewer than the p={p} columns: "
+                f"raise the grid's lowest decay (alpha^p >= p*eps needs alpha >= "
+                f"{math.ceil(1000.0 * (p * eps) ** (1.0 / p)) / 1000.0})"
+            )
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -276,7 +289,7 @@ def _loglik_curve(mat: np.ndarray, grid: np.ndarray, burn_in: int) -> np.ndarray
             failure = (block_failure[0], lo + block_failure[1])
         curve[lo : lo + size] = -0.5 * total
     if failure is not None:
-        raise SingularCovarianceError(failure[0], float(grid[failure[1]]))
+        raise SingularCovarianceError(failure[0], float(grid[failure[1]]), p)
     return curve
 
 

@@ -1,6 +1,6 @@
 """Dense real-matrix primitives and a from-scratch symmetric eigensolver.
 
-Plain float64 numpy arrays throughout.  The cyclic Jacobi solver is kept
+Plain float64 numpy arrays throughout.  The round-robin Jacobi solver is kept
 independent of the refinement machinery on purpose: it provides first-fit
 eigenbases and doubles as the reference decomposition in tests.
 """
@@ -88,26 +88,26 @@ class EigenBasis:
 MAX_SWEEPS = 100
 
 
-def _rotate(m: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    """Replace columns p and q of m by [m_p, m_q] @ [[c, s], [-s, c]], in place."""
-    col_p = m[:, p].copy()
-    col_q = m[:, q].copy()
-    m[:, p] = c * col_p - s * col_q
-    m[:, q] = s * col_p + c * col_q
+def _round_robin(n: int) -> np.ndarray:
+    """(rounds, n // 2, 2) pairs p < q, each unordered pair once, disjoint within
+    a round (circle method).  An odd n is padded with index n, whose pairs are left out."""
+    m = n + n % 2
+    k = np.arange(m // 2)
+    a = (np.arange(m - 1)[:, None] + k) % (m - 1)
+    b = np.where(k, (a - 2 * k) % (m - 1), m - 1)
+    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=2)[:, n % 2 :]
 
 
 def jacobi_eigh(a) -> EigenBasis:
-    """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a real symmetric matrix by round-robin Jacobi sweeps.
 
-    Each rotation zeroes one off-diagonal pair; sweeps repeat until the
-    off-diagonal Frobenius mass drops below 1e-13 * max(1, ||A||_F), which
-    leaves the residual ||A V - V diag(values)||_F comfortably under
-    1e-12 * max(1, ||A||_F).  Column signs are pinned by ``fix_column_signs``.
-    Deterministic: fixed cyclic order, no randomness.
-
-    Raises OverflowError if ||A||_F overflows float64 (the stopping test
-    would then pass before any rotation) and RuntimeError if ``MAX_SWEEPS``
-    sweeps do not converge.
+    A sweep runs the rounds of Brent & Luk's parallel ordering (SIAM J. Sci.
+    Stat. Comput. 6, 1985); a round rotates its n // 2 disjoint pairs at once,
+    W <- J^T W J and V <- V J.  Sweeps stop once the off-diagonal Frobenius mass
+    is below 1e-13 * max(1, ||A||_F), leaving ||A V - V diag(values)||_F well
+    under 1e-12 * max(1, ||A||_F).  Column signs are pinned by ``fix_column_signs``;
+    fixed order, no randomness.  Raises OverflowError if ||A||_F overflows float64
+    (the stop test would pass at once), RuntimeError after ``MAX_SWEEPS`` sweeps.
     """
     with np.errstate(over="ignore"):
         work = symmetrize(a)
@@ -118,13 +118,13 @@ def jacobi_eigh(a) -> EigenBasis:
             f"Jacobi eigensolver: the Frobenius norm of the {n} x {n} input overflows "
             f"float64 (largest entry {np.abs(work).max():.3e}); rescale the data"
         )
-    rows = work.T  # rotating its columns rotates the rows of work
-    vectors = np.eye(n)
+    p, q = np.moveaxis(_round_robin(n), 2, 0)
+    # flat indices of the (p, p), (q, q), (p, q) and (q, p) entries, per round
+    rounds = list(zip(p * (n + 1), q * (n + 1), p * n + q, q * n + p))
+    ones, eye, vectors = np.ones(p.shape[1]), np.eye(n), np.eye(n)
     stop = 1e-13 * max(1.0, norm)
-    # n*n entries at stop/n each still keep the off-norm at or below stop, so
-    # entries under this floor never need rotating.  The floor also bounds
-    # |tau| = |aqq - app| / (2 |apq|) <= 2 ||A||_F / (2 stop / n) <= n * 1e13,
-    # so tau * tau cannot overflow.
+    # Entries under the floor never need rotating (n*n of them keep the off-norm
+    # <= stop), and it bounds |tau| = |aqq - app| / (2 |apq|) <= n * 1e13.
     floor = stop / n
     sweep = 0
     while True:
@@ -139,26 +139,26 @@ def jacobi_eigh(a) -> EigenBasis:
             )
         # Early sweeps skip entries too small to matter yet.
         thresh = max(0.2 * off / n if sweep < 3 else 0.0, floor)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                app = work[p, p]
-                aqq = work[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                root = np.sqrt(1.0 + tau * tau)
-                t = 1.0 / (tau + root) if tau >= 0.0 else 1.0 / (tau - root)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                _rotate(work, p, q, c, s)
-                _rotate(rows, p, q, c, s)
-                # Analytic values for the rotated 2x2 block keep symmetry exact.
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                _rotate(vectors, p, q, c, s)
+        for pp, qq, pq, qp in rounds:
+            app, aqq, apq = work.take(pp), work.take(qq), work.take(pq)
+            rot = np.abs(apq) > thresh
+            if not np.count_nonzero(rot):
+                continue
+            # pairs at or under thresh get t = 0: c = 1, s = 0
+            tau = (aqq - app) / np.where(rot, apq + apq, ones)
+            t = rot * np.copysign(ones / (np.abs(tau) + np.hypot(ones, tau)), tau)
+            c = ones / np.hypot(ones, t)
+            rotation = eye.copy()
+            cells = rotation.reshape(-1)
+            cells[pp] = cells[qq] = c
+            cells[pq], cells[qp] = t * c, -t * c
+            work = rotation.T @ (work @ rotation)
+            vectors = vectors @ rotation
+            # Analytic values for the rotated 2x2 blocks.
+            cells = work.reshape(-1)
+            cells[pp], cells[qq] = app - t * apq, aqq + t * apq
+            cells[pq] = cells[qp] = np.where(rot, 0.0, apq)
+        work = (work + work.T) / 2.0  # J^T (W J) rounds rows and columns apart
         sweep += 1
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")

@@ -77,6 +77,18 @@ def test_chunk_bounds_rejects_bad_timestamp():
         chunk_bounds(table, "by=year")
 
 
+def test_chunk_bounds_names_the_first_line_of_a_repeated_bad_date():
+    ts = ["2021-01-04T09:30:00", "2021-01-04T09:31:00", "2021-01-05T09:30:00",
+          "2021-02-30T09:30:00", "2021-02-30T09:31:00", "2021-01-06T09:30:00",
+          "2021-02-30T09:32:00"]
+    table = ObservationTable(["a"], np.zeros((7, 1)), timestamps=ts)
+    with pytest.raises(ValueError) as excinfo:
+        chunk_bounds(table, "by=day")
+    assert str(excinfo.value) == (
+        "line 5: timestamp '2021-02-30T09:30:00' is not ISO-8601 (YYYY-MM-DD...)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # cross statistics
 
@@ -274,6 +286,25 @@ def test_ewmpca_overflow_names_the_observation(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "z.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, output", [("ewmpca", ["--output", "z.csv"]), ("compare", ["--output-prefix", "z_"])]
+)
+def test_seed_overflow_names_the_seed_rows(tmp_path, capsys, monkeypatch, command, output):
+    # 600 x 4, the first 300 rows scaled by 1e78: the seed's covariance
+    # overflows before any observation is refined
+    data = stationary_gaussian(600, 4, seed=5)
+    data[:300] *= 1e78
+    inp = write_data(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, str(inp), "--alpha", "0.97", *output])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: seed rows 1-100: Jacobi eigensolver: the Frobenius norm of the 4 x 4 "
+        "input overflows float64"
+    )
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["in.csv"]
+
+
 def test_ipca_reruns_are_byte_identical(tmp_path):
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=10))
     out1, out2 = tmp_path / "z1.csv", tmp_path / "z2.csv"
@@ -413,6 +444,18 @@ def test_estimate_alpha_singular_names_observation(tmp_path, capsys):
                "--burn-in", "5", "--output", str(tmp_path / "c.csv")])
     assert rc == 1
     assert "t=6" in capsys.readouterr().err
+
+
+def test_estimate_alpha_decay_too_low_for_wide_table(tmp_path, capsys):
+    inp = write_data(tmp_path, stationary_gaussian(150, 48, seed=2))
+    rc = main(["estimate-alpha", str(inp), "--grid", "0.5:0.9:0.4", "--burn-in", "60",
+               "--output", str(tmp_path / "c.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: moving covariance matrix is singular at observation t=61 "
+                          "(alpha=0.5); at this decay only about 46 recent rows")
+    assert "raise the grid's lowest decay (alpha^p >= p*eps needs alpha >= 0.512)" in err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # ---------------------------------------------------------------------------

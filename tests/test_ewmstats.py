@@ -13,7 +13,7 @@ from streampca.ewmstats import (
     ewm_update,
 )
 from streampca.linalg import frobenius_norm, jacobi_eigh
-from streampca.synth import volatility_cluster
+from streampca.synth import stationary_gaussian, volatility_cluster
 
 
 def run_recursion(x, alpha):
@@ -295,6 +295,27 @@ def test_grid_singular_names_observation_and_decay():
         estimate_alpha(x, [0.5, 0.99], burn_in=5)
     assert excinfo.value.t == alone.value.t > 1000
     assert excinfo.value.alpha == 0.5
+
+
+def test_decay_too_low_for_p_explains_itself():
+    # alpha^p < p eps: at alpha = 0.5 only ~46 recent rows weigh more than
+    # p eps of the newest, fewer than p = 48, so every scored row is singular
+    x = stationary_gaussian(150, 48, seed=2)
+    with pytest.raises(SingularCovarianceError) as excinfo:
+        estimate_alpha(x, [0.5, 0.9], burn_in=60)
+    assert (excinfo.value.t, excinfo.value.alpha) == (61, 0.5)
+    assert str(excinfo.value) == (
+        "moving covariance matrix is singular at observation t=61 (alpha=0.5); at this "
+        "decay only about 46 recent rows weigh more than p*eps of the newest, fewer than "
+        "the p=48 columns: raise the grid's lowest decay (alpha^p >= p*eps needs "
+        "alpha >= 0.512)"
+    )
+
+
+def test_singular_at_an_ample_decay_adds_no_clause():
+    with pytest.raises(SingularCovarianceError) as excinfo:
+        ewm_loglik(rank_one(), 0.5, burn_in=5)
+    assert str(excinfo.value).endswith("(alpha=0.5)")
 
 
 def test_grid_singular_tie_names_lowest_index():

@@ -185,6 +185,42 @@ def test_jacobi_fresh_eigenbasis_contract(seed, dim, exponent, shape):
     assert np.all(basis.vectors[lead, np.arange(dim)] > 0.0)
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_round_robin_rotates_every_pair_once_per_sweep(n):
+    rounds = linalg._round_robin(n)
+    assert rounds.shape == (n - 1 + n % 2, n // 2, 2)
+    for pairs in rounds:
+        # disjoint within a round
+        assert len(set(pairs.ravel().tolist())) == pairs.size
+    every = sorted(map(tuple, rounds.reshape(-1, 2).tolist()))
+    assert every == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_jacobi_exactly_diagonal_input_takes_no_rotation():
+    d = np.array([2.0, -1.0, 7.0, 0.0, 7.0, 3.5, -4.0])
+    basis = jacobi_eigh(np.diag(d))
+    order = np.argsort(-d, kind="stable")
+    assert np.array_equal(basis.values, d[order])
+    # an untouched identity, columns permuted: no rotation ran
+    assert np.array_equal(basis.vectors, np.eye(7)[:, order])
+
+
+@pytest.mark.parametrize("shape", ["dense", "near-diagonal"])
+def test_jacobi_p100(shape):
+    rng = np.random.default_rng(100)
+    m = rng.standard_normal((100, 100))
+    noise = (m + m.T) / 2.0
+    if shape == "dense":
+        a = noise
+    else:
+        a = np.diag(np.linspace(10.0, 1.0, 100)) + 1e-3 * noise
+    basis = jacobi_eigh(a)
+    res, orth = _residuals(a, basis)
+    assert res <= 1e-12
+    assert orth <= 1e-12
+    assert np.all(np.diff(basis.values) <= 0.0)
+
+
 def test_jacobi_dim_one():
     basis = jacobi_eigh([[4.0]])
     assert np.array_equal(basis.values, [4.0])

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts: exit 0 and the files each writes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -57,3 +58,18 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "estimate-alpha-default.csv").stat().st_size > 0
     assert (out / "compare-ml_run.json").stat().st_size > 0
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
+
+
+def test_jacobi_timing_reports_every_size_and_input():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "jacobi_timing.py"), "--baseline", str(ROOT),
+         "--sizes", "3", "4", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)["table"]
+    assert [(row["p"], row["input"]) for row in table] == [
+        (3, "dense"), (3, "near-diagonal"), (4, "dense"), (4, "near-diagonal")
+    ]
+    assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in table)
