@@ -93,6 +93,12 @@ def test_jacobi_diagonal_is_exact():
     basis = jacobi_eigh(np.diag([3.0, 1.0]))
     assert np.array_equal(basis.values, [3.0, 1.0])
     assert np.array_equal(basis.vectors, np.eye(2))
+    d = np.array([2.0, -1.0, 7.0, 0.0, 7.0, 3.5, -4.0])
+    basis = jacobi_eigh(np.diag(d))
+    order = np.argsort(-d, kind="stable")
+    assert np.array_equal(basis.values, d[order])
+    # an untouched identity, columns permuted: no rotation ran
+    assert np.array_equal(basis.vectors, np.eye(7)[:, order])
 
 
 def test_jacobi_2x2_analytic():
@@ -194,15 +200,6 @@ def test_round_robin_rotates_every_pair_once_per_sweep(n):
         assert len(set(pairs.ravel().tolist())) == pairs.size
     every = sorted(map(tuple, rounds.reshape(-1, 2).tolist()))
     assert every == [(p, q) for p in range(n) for q in range(p + 1, n)]
-
-
-def test_jacobi_exactly_diagonal_input_takes_no_rotation():
-    d = np.array([2.0, -1.0, 7.0, 0.0, 7.0, 3.5, -4.0])
-    basis = jacobi_eigh(np.diag(d))
-    order = np.argsort(-d, kind="stable")
-    assert np.array_equal(basis.values, d[order])
-    # an untouched identity, columns permuted: no rotation ran
-    assert np.array_equal(basis.vectors, np.eye(7)[:, order])
 
 
 @pytest.mark.parametrize("shape", ["dense", "near-diagonal"])
