@@ -11,8 +11,9 @@ average.
 Two entry points, freely interleavable: ``add`` consumes a single observation
 and returns its component row; ``add_all`` folds ``add`` over the rows of a
 matrix.  On a fresh, unseeded model ``add_all`` first seeds the basis from
-the sample covariance of its leading rows (up to 100), then processes every
-row from the beginning so the output stays row-aligned with the input.
+the sample covariance of its leading rows (up to 100, or p + 1 when p is
+wider), then processes every row from the beginning so the output stays
+row-aligned with the input.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .refine import DivergenceError, _check_controls, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
-# Head length used to seed the initial basis in batch mode, and the default
-# span of the warm-up iteration cap.
+# Head length used to seed the initial basis in batch mode (raised to p + 1
+# for wider inputs), and the default span of the warm-up iteration cap.
 DEFAULT_SEED_ROWS = 100
 
 # During warm-up the moving covariance is rank-deficient; its zero-eigenvalue
@@ -159,8 +160,8 @@ class EwmPCA:
             raise DivergenceError(
                 f"eigenbasis refinement diverged at observation {state.count}: {err}"
             ) from err
-        except OverflowError as err:
-            raise OverflowError(f"observation {state.count}: {err}") from err
+        except (ValueError, OverflowError) as err:
+            raise type(err)(f"observation {state.count}: {err}") from err
         self._ewm = state
         self._basis = basis
         self._eigenvalues = diagnostics.eigenvalues
@@ -181,7 +182,9 @@ class EwmPCA:
             raise ValueError("X contains non-finite entries")
         n, p = arr.shape
         if n > 0 and self._ewm is None and self._basis is None:
-            head = arr[: min(DEFAULT_SEED_ROWS, n)]
+            # p + 1 rows at least: fewer leave the identity, an exact false
+            # fixed point of the refinement, in place at p >= DEFAULT_SEED_ROWS.
+            head = arr[: min(max(DEFAULT_SEED_ROWS, p + 1), n)]
             if head.shape[0] >= p + 1:
                 try:
                     self._basis = seed_initial_basis(head)

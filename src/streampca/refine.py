@@ -22,7 +22,10 @@ decomposition", Japan J. Indust. Appl. Math. 35 (2018).
 All norms are Frobenius, a cheap upper bound on the spectral norm used in
 the original analysis.  Overestimating delta only routes more pairs to the
 conservative r_ij/2 branch, and in the stopping test Frobenius is the
-stricter criterion.  ``refine_to_convergence`` returns the columns in
+stricter criterion.  Each norm is one BLAS dot product of the raveled matrix
+with itself (:func:`streampca.linalg.frobenius_norm`), and ||S - D|| is taken
+of S with lambda subtracted from its diagonal in place, so a step builds
+neither D nor a copy of S.  ``refine_to_convergence`` returns the columns in
 descending order of their eigenvalue estimates, so a warm refit keeps the
 component order of a first fit.
 """
@@ -84,7 +87,9 @@ def _check_controls(tol: float, max_iter_count: int | None) -> None:
         raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
 
 
-def _check_pair(a: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(a, xhat, finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce A and Xhat to float64, check their shapes and, unless ``finite`` is
+    False, that every entry is finite."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -93,29 +98,47 @@ def _check_pair(a: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError(
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
         )
+    if finite:
+        _check_finite(a, "A")
+        _check_finite(xhat, "Xhat")
     return a, xhat
 
 
+def _check_finite(m: np.ndarray, name: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
-    """Unchecked core of :func:`estimate_eigenvalues`: (lambda, R, S) for
-    float64 arrays of matching square shape, ``eye`` the identity of that size."""
-    r = eye - xhat.T @ xhat
-    s = xhat.T @ (a @ xhat)
+    """Unchecked core of :func:`estimate_eigenvalues`: (lambda, R, S - D) for
+    float64 arrays of matching square shape, ``eye`` the identity of that size.
+
+    S - D is S with lambda subtracted from its diagonal in place; S's own
+    diagonal is not needed once lambda is formed.
+    """
+    r = eye - np.dot(xhat.T, xhat)
+    s = np.dot(xhat.T, np.dot(a, xhat))
     denom = 1.0 - r.diagonal()
-    bad = np.abs(denom) < 1e-14
-    if bad.any():
+    # initial=inf: a 0 x 0 input has no column to reject
+    if abs(denom).min(initial=np.inf) < 1e-14:
         raise ValueError(
             "degenerate approximate eigenvector: column "
-            f"{int(np.argmax(bad))} has near-zero norm"
+            f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"
         )
-    return s.diagonal() / denom, r, s
+    # np.dot returns a fresh C-contiguous array, so this strided slice is a
+    # writable view of S's diagonal.
+    s_diag = s.reshape(-1)[:: s.shape[0] + 1]
+    lam = s_diag / denom
+    s_diag -= lam
+    return lam, r, s
 
 
 def estimate_eigenvalues(a, xhat) -> np.ndarray:
     """Eigenvalue estimates lambda_i = s_ii / (1 - r_ii) for a precomputed basis.
 
-    Raises ValueError when some |1 - r_ii| < 1e-14, i.e. a column of Xhat has
-    near-zero norm and the quotient is meaningless.
+    Raises ValueError when A or Xhat has a non-finite entry, or when some
+    |1 - r_ii| < 1e-14, i.e. a column of Xhat has near-zero norm and the
+    quotient is meaningless.
     """
     a, xhat = _check_pair(a, xhat)
     return _rayleigh(a, xhat, np.eye(a.shape[0]))[0]
@@ -124,25 +147,27 @@ def estimate_eigenvalues(a, xhat) -> np.ndarray:
 def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float) -> np.ndarray:
     """One unchecked refinement step, Xhat + Xhat @ E, with ``norm_a`` = ||A||
     taken once by the caller."""
-    lam, r, s = _rayleigh(a, xhat, eye)
-    delta = 2.0 * (frobenius_norm(s - np.diag(lam)) + norm_a * frobenius_norm(r))
+    lam, r, s_minus_d = _rayleigh(a, xhat, eye)
+    delta = 2.0 * (frobenius_norm(s_minus_d) + norm_a * frobenius_norm(r))
     if not math.isfinite(delta):
         raise ArithmeticError(
             f"non-finite refinement threshold delta={delta}; input blew up"
         )
     gap = lam - lam[:, None]
-    wide = np.abs(gap) > delta
-    # Dividing only where the gap is wide keeps gap == 0 out of the division.
+    wide = abs(gap) > delta
+    # Dividing only where the gap is wide keeps gap == 0 out of the division;
+    # the diagonal, where S - D differs from S, is never wide.
     e = 0.5 * r
-    np.divide(s + lam * r, gap, out=e, where=wide)
-    return xhat + xhat @ e
+    np.divide(s_minus_d + lam * r, gap, out=e, where=wide)
+    return xhat + np.dot(xhat, e)
 
 
 def refine_step(a, xhat) -> np.ndarray:
     """One refinement step: returns Xhat + Xhat @ E.
 
     Exactly orthonormal true eigenvectors are a fixed point (R = 0 and S
-    diagonal make every entry of E vanish).
+    diagonal make every entry of E vanish).  Raises ValueError when A or Xhat
+    has a non-finite entry.
     """
     a, xhat = _check_pair(a, xhat)
     return _step(a, xhat, np.eye(a.shape[0]), frobenius_norm(a))
@@ -163,15 +188,19 @@ def refine_to_convergence(
     Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
     the first step norm: the initial guess is too far off (or the spectrum
     too clustered) for the iteration to contract.  Raises OverflowError
-    before the first step when ||A|| overflows float64.
+    before the first step when ||A|| overflows float64, and ValueError when A
+    or Xhat has a non-finite entry.
     """
     _check_controls(tol, max_iter_count)
-    a, x = _check_pair(a, xhat)
+    # Finiteness is checked only once a norm or the threshold delta comes out
+    # non-finite, so the per-row path pays nothing for it.
+    a, x = _check_pair(a, xhat, finite=False)
     cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
     with np.errstate(over="ignore"):
         norm_a = frobenius_norm(a)
     if not math.isfinite(norm_a):
+        _check_finite(a, "A")
         n = a.shape[0]
         raise OverflowError(
             f"refinement: the Frobenius norm of the {n} x {n} input overflows "
@@ -179,7 +208,11 @@ def refine_to_convergence(
         )
     steps: list[float] = []
     while True:
-        new_x = _step(a, x, eye, norm_a)
+        try:
+            new_x = _step(a, x, eye, norm_a)
+        except ArithmeticError:
+            _check_finite(xhat, "Xhat")
+            raise
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         if len(steps) == cap or eps < tol:

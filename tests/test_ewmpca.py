@@ -5,7 +5,7 @@ from streampca import refine
 from streampca.ewmpca import DEFAULT_SEED_ROWS, EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
 from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
-from streampca.synth import well_separated_covariance
+from streampca.synth import stationary_gaussian, well_separated_covariance
 
 
 def seeded_stream(n, p, seed=3, ratio=3.0):
@@ -54,6 +54,18 @@ def test_default_seed_head_is_100_rows():
     explicit = EwmPCA(0.95, initial_basis=seed_initial_basis(x[:100]))
     z_explicit = explicit.add_all(x)
     assert np.array_equal(z_auto, z_explicit)
+
+
+def test_wide_input_seeds_from_p_plus_one_rows():
+    # At p >= DEFAULT_SEED_ROWS the first 100 rows are too few to seed from;
+    # the identity they left in place is an exact false fixed point.
+    x = stationary_gaussian(102, 100, seed=1)
+    auto = EwmPCA(0.97)
+    z_auto = auto.add_all(x)
+    explicit = EwmPCA(0.97, initial_basis=seed_initial_basis(x[:101]))
+    z_explicit = np.array([explicit.add(row) for row in x])
+    assert np.array_equal(z_auto, z_explicit)
+    assert np.array_equal(auto.basis, explicit.basis)
 
 
 # ---------------------------------------------------------------------------

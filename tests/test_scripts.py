@@ -73,3 +73,18 @@ def test_jacobi_timing_reports_every_size_and_input():
         (3, "dense"), (3, "near-diagonal"), (4, "dense"), (4, "near-diagonal")
     ]
     assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in table)
+
+
+def test_refine_timing_replays_both_inputs_bit_identically():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "refine_timing.py"), "--baseline", str(ROOT),
+         "--repeats", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)["table"]
+    assert [(row["input"], row["calls"]) for row in table] == [("ewm p=9", 2800), ("ipca p=12", 4)]
+    for row in table:
+        assert row["this_iterations"] == row["baseline_iterations"] >= row["calls"]
+        assert row["bit_identical"] is True
