@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .ewmpca import EwmPCA
+from .ewmpca import DEFAULT_SEED_ROWS, EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
-from .refine import DivergenceError, _check_controls
+from .refine import DEFAULT_TOL, DivergenceError, _check_controls
 from .tableio import (
     ObservationTable,
     format_float,
@@ -38,6 +38,9 @@ from .tableio import (
 __all__ = ["main"]
 
 _BY_PREFIX = {"year": 4, "month": 7, "day": 10}
+
+# sign_continuity entries below this count as sign flips (a flip is near -1, a swap near 0)
+SIGN_FLIP_THRESHOLD = -0.5
 
 
 def _info(msg: str) -> None:
@@ -93,15 +96,8 @@ def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
             ) from None
     width = _BY_PREFIX[value]
     keys = [ts[:width] for ts in table.timestamps]
-    bounds: list[tuple[int, int]] = []
-    lo = 0
-    for i in range(1, n):
-        if keys[i] != keys[lo]:
-            bounds.append((lo, i))
-            lo = i
-    if n:
-        bounds.append((lo, n))
-    return bounds
+    starts = [i for i in range(n) if i == 0 or keys[i] != keys[i - 1]]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,7 @@ def cmd_ipca(args) -> None:
             "reseeded_chunks": reseeded,
         },
     )
-    flips = sum(1 for row in continuity for v in row if v <= 0.0)
+    flips = sum(1 for row in continuity for v in row if v < SIGN_FLIP_THRESHOLD)
     _info(
         f"ipca: {len(bounds)} chunk(s), {flips} sign discontinuities, "
         f"wrote {args.output}"
@@ -355,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("input", help="CSV observation table")
     refinement = argparse.ArgumentParser(add_help=False)
-    refinement.add_argument("--tol", type=float, default=1e-6, help="refinement tolerance")
+    refinement.add_argument("--tol", type=float, default=DEFAULT_TOL, help="refinement tolerance")
     refinement.add_argument("--max-iter", type=int, help="refinement iteration cap")
     likelihood = argparse.ArgumentParser(add_help=False)
     likelihood.add_argument(
@@ -373,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="decay in (0, 1), or 'ml' to fit it by maximum likelihood first",
     )
-    decay.add_argument("--warmup", type=int, default=100, help="warm-up rows (default 100)")
+    decay.add_argument(
+        "--warmup", type=int, default=DEFAULT_SEED_ROWS, help="warm-up rows (default %(default)s)"
+    )
 
     p = sub.add_parser("synth", help="write a seeded synthetic observation table")
     p.add_argument(

@@ -28,7 +28,7 @@ from .linalg import (
     jacobi_eigh,
     sample_covariance,
 )
-from .refine import DivergenceError, _check_controls, refine_to_convergence
+from .refine import DEFAULT_TOL, DivergenceError, _check_controls, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
@@ -83,7 +83,7 @@ class EwmPCA:
         self,
         alpha: float,
         initial_basis=None,
-        tol: float = 1e-6,
+        tol: float = DEFAULT_TOL,
         max_iter_count: int | None = None,
         warmup_rows: int = DEFAULT_SEED_ROWS,
     ):

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, jacobi_eigh, sample_covariance
-from .refine import DivergenceError, RefineDiagnostics, _check_controls, refine_to_convergence
+from .refine import (
+    DEFAULT_TOL, DivergenceError, RefineDiagnostics, _check_controls, refine_to_convergence
+)
 
 __all__ = ["IteratedPCA"]
 
@@ -47,7 +49,7 @@ class IteratedPCA:
         None when the last fit used the direct eigensolver
     """
 
-    def __init__(self, tol: float = 1e-6, max_iter_count: int | None = None):
+    def __init__(self, tol: float = DEFAULT_TOL, max_iter_count: int | None = None):
         _check_controls(tol, max_iter_count)
         self.tol = tol
         self.max_iter_count = max_iter_count

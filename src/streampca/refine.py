@@ -40,12 +40,16 @@ import numpy as np
 from .linalg import frobenius_norm
 
 __all__ = [
+    "DEFAULT_TOL",
     "DivergenceError",
     "RefineDiagnostics",
     "estimate_eigenvalues",
     "refine_step",
     "refine_to_convergence",
 ]
+
+# Step-norm tolerance of the kernel, IteratedPCA, EwmPCA and --tol by default.
+DEFAULT_TOL = 1e-6
 
 # Step norms growing past this multiple of the first step norm abort the loop
 # early on inputs outside its convergence region (e.g. a rank-deficient
@@ -87,9 +91,9 @@ def _check_controls(tol: float, max_iter_count: int | None) -> None:
         raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
 
 
-def _check_pair(a, xhat, finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce A and Xhat to float64, check their shapes and, unless ``finite`` is
-    False, that every entry is finite."""
+def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce A and Xhat to float64, check their shapes and that Xhat, and A
+    unless ``check_a`` is False, has only finite entries."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -98,9 +102,9 @@ def _check_pair(a, xhat, finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
         )
-    if finite:
+    if check_a:
         _check_finite(a, "A")
-        _check_finite(xhat, "Xhat")
+    _check_finite(xhat, "Xhat")
     return a, xhat
 
 
@@ -174,7 +178,7 @@ def refine_step(a, xhat) -> np.ndarray:
 
 
 def refine_to_convergence(
-    a, xhat, tol: float = 1e-6, max_iter_count: int | None = None
+    a, xhat, tol: float = DEFAULT_TOL, max_iter_count: int | None = None
 ) -> tuple[np.ndarray, RefineDiagnostics]:
     """Repeat refinement steps until the update norm drops below ``tol``.
 
@@ -192,9 +196,9 @@ def refine_to_convergence(
     or Xhat has a non-finite entry.
     """
     _check_controls(tol, max_iter_count)
-    # Finiteness is checked only once a norm or the threshold delta comes out
-    # non-finite, so the per-row path pays nothing for it.
-    a, x = _check_pair(a, xhat, finite=False)
+    # Xhat is checked here, before an infinite entry can reach a product; A
+    # only once its norm comes out non-finite, so A costs the per-row path nothing.
+    a, x = _check_pair(a, xhat, check_a=False)
     cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
     with np.errstate(over="ignore"):
@@ -208,11 +212,7 @@ def refine_to_convergence(
         )
     steps: list[float] = []
     while True:
-        try:
-            new_x = _step(a, x, eye, norm_a)
-        except ArithmeticError:
-            _check_finite(xhat, "Xhat")
-            raise
+        new_x = _step(a, x, eye, norm_a)
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         if len(steps) == cap or eps < tol:

@@ -179,6 +179,34 @@ def test_ipca_stationary_chunks_sign_continuous(tmp_path):
     assert all(isinstance(i, int) for i in sidecar["iterations"][1:])
 
 
+def test_ipca_counts_flipped_columns_not_swapped_ones(tmp_path, capsys, monkeypatch):
+    # the ipca-chunk100 case of scripts/cli_snapshot.py: two components swap
+    # places at the regime switch, with continuity entries of about -3e-17 and 0
+    regime = tmp_path / "regime.csv"
+    assert main(["synth", "--kind", "regime-switch", "--rows", "600", "--cols", "3",
+                 "--switch-points", "300", "--seed", "2", "--output", str(regime)]) == 0
+    out = tmp_path / "z.csv"
+    assert main(["ipca", str(regime), "--chunk-spec", "chunk=100", "--output", str(out)]) == 0
+    assert "6 chunk(s), 0 sign discontinuities" in capsys.readouterr().err
+    continuity = json.loads((tmp_path / "z.json").read_text())["diagnostics"]["sign_continuity"]
+    assert -1e-15 < min(map(min, continuity)) <= 0.0
+
+    fit = IteratedPCA.fit
+
+    def flip_second_fit(self, x, reseed=False):
+        fit(self, x, reseed=reseed)
+        if self.fit_count_ == 2:
+            self.components_ = self.components_ * [1.0, -1.0, 1.0, 1.0]
+        return self
+
+    monkeypatch.setattr(IteratedPCA, "fit", flip_second_fit)
+    inp = write_data(tmp_path, stationary_gaussian(300, 4, seed=6))
+    assert main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)]) == 0
+    assert "3 chunk(s), 1 sign discontinuities" in capsys.readouterr().err
+    continuity = json.loads((tmp_path / "z.json").read_text())["diagnostics"]["sign_continuity"]
+    assert continuity[0][1] < -0.9 and continuity[1][1] > 0.9
+
+
 def test_ipca_by_year_chunks_and_keeps_timestamps(tmp_path):
     rng = np.random.default_rng(7)
     ts = [f"2019-0{1 + d // 10}-{1 + d % 10:02d} 09:00:00" for d in range(30)] + [

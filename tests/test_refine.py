@@ -336,11 +336,8 @@ def test_kernel_names_nonfinite_input(kernel, a, x, name):
 
 @pytest.mark.parametrize("a, x, name", nonfinite_pairs())
 def test_refine_to_convergence_names_nonfinite_input(a, x, name):
-    # The loop checks finiteness only once ||A|| or the threshold delta comes
-    # out non-finite.  Before that, an infinite Xhat entry meets inf - inf in
-    # the first step's products, and numpy warns of it.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if name == "Xhat" and np.isinf(x).any() else "error")
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             refine_to_convergence(a, x)
 

@@ -60,31 +60,31 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
 
 
-def test_jacobi_timing_reports_every_size_and_input():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "jacobi_timing.py"), "--baseline", str(ROOT),
-         "--sizes", "3", "4", "--repeats", "1"],
-        capture_output=True,
-        text=True,
-    )
+def run_kernel_timing(*args):
+    script = ROOT / "scripts" / "kernel_timing.py"
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
+
+
+def test_kernel_timing_reports_both_tables():
+    proc = run_kernel_timing("--baseline", str(ROOT), "--sizes", "3", "4", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
-    table = json.loads(proc.stdout)["table"]
-    assert [(row["p"], row["input"]) for row in table] == [
+    result = json.loads(proc.stdout)
+    jacobi, refine = result["jacobi"], result["refine"]
+    assert [(row["p"], row["input"]) for row in jacobi] == [
         (3, "dense"), (3, "near-diagonal"), (4, "dense"), (4, "near-diagonal")
     ]
-    assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in table)
-
-
-def test_refine_timing_replays_both_inputs_bit_identically():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "refine_timing.py"), "--baseline", str(ROOT),
-         "--repeats", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    table = json.loads(proc.stdout)["table"]
-    assert [(row["input"], row["calls"]) for row in table] == [("ewm p=9", 2800), ("ipca p=12", 4)]
-    for row in table:
+    assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in jacobi)
+    assert [(row["input"], row["calls"]) for row in refine] == [
+        ("ewm p=9", 2800), ("ipca p=12", 4)
+    ]
+    for row in refine:
         assert row["this_iterations"] == row["baseline_iterations"] >= row["calls"]
         assert row["bit_identical"] is True
+
+
+@pytest.mark.parametrize("flag", ["--repeats", "--sizes"])
+def test_kernel_timing_rejects_a_count_below_one(flag):
+    proc = run_kernel_timing(flag, "0")
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+    assert proc.stdout == ""
