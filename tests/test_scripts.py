@@ -65,19 +65,25 @@ def run_kernel_timing(*args):
     return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
 
 
-def test_kernel_timing_reports_both_tables():
+@pytest.fixture(scope="module")
+def kernel_timing_result():
     proc = run_kernel_timing("--baseline", str(ROOT), "--sizes", "3", "4", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    jacobi, refine = result["jacobi"], result["refine"]
-    assert [(row["p"], row["input"]) for row in jacobi] == [
+    return json.loads(proc.stdout)
+
+
+def test_jacobi_timing_reports_every_size_and_input(kernel_timing_result):
+    table = kernel_timing_result["jacobi"]
+    assert [(row["p"], row["input"]) for row in table] == [
         (3, "dense"), (3, "near-diagonal"), (4, "dense"), (4, "near-diagonal")
     ]
-    assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in jacobi)
-    assert [(row["input"], row["calls"]) for row in refine] == [
-        ("ewm p=9", 2800), ("ipca p=12", 4)
-    ]
-    for row in refine:
+    assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in table)
+
+
+def test_refine_timing_replays_both_inputs_bit_identically(kernel_timing_result):
+    table = kernel_timing_result["refine"]
+    assert [(row["input"], row["calls"]) for row in table] == [("ewm p=9", 2800), ("ipca p=12", 4)]
+    for row in table:
         assert row["this_iterations"] == row["baseline_iterations"] >= row["calls"]
         assert row["bit_identical"] is True
 
