@@ -3,11 +3,14 @@
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a rank-one table, a table too
-short for the default burn-in).  Every command runs in OUTDIR with relative
-paths, so the files it writes, and the stdout, stderr and exit code captured
-as ``<case>.stdout``, ``<case>.stderr`` and ``<case>.exit``, do not depend on
-where the checkout lives.  Two snapshots compare with ``diff -r``: run this
-script from each checkout into its own OUTDIR.
+short for the default burn-in).  Two derived tables are not plain, so that
+they take the ``csv`` row reader where the others take numpy's: one has
+quoted timestamps that hold a comma, one LF line ends and blank lines.  Every
+command runs in OUTDIR with relative paths, so the files it writes, and the
+stdout, stderr and exit code captured as ``<case>.stdout``, ``<case>.stderr``
+and ``<case>.exit``, do not depend on where the checkout lives.  Two
+snapshots compare with ``diff -r``: run this script from each checkout into
+its own OUTDIR.
 
 Usage: python scripts/cli_snapshot.py OUTDIR
 """
@@ -56,6 +59,11 @@ COMMANDS = [
                              "--burn-in", "21"]),
     ("compare-numeric", ["compare", "gauss.csv", "--alpha", "0.97", "--max-iter", "50"]),
     ("compare-ml", ["compare", "vc.csv", "--alpha", "ml", *ML_GRID]),
+    # tables that take the row reader
+    ("ipca-quoted-stamps", ["ipca", "quoted.csv", "--chunk-spec", "by=day"]),
+    ("ewmpca-quoted-stamps", ["ewmpca", "quoted.csv", "--alpha", "0.97"]),
+    ("ipca-blank-lines", ["ipca", "blank_lines.csv", "--chunk-spec", "chunk=200"]),
+    ("ewmpca-blank-lines", ["ewmpca", "blank_lines.csv", "--alpha", "0.97"]),
     # error cases
     ("error-ipca-overflow-first-chunk", ["ipca", "overflow_head.csv", "--chunk-spec",
                                          "chunk=100"]),
@@ -107,6 +115,14 @@ def derive_inputs(outdir: Path) -> None:
         for i, row in enumerate(rows)
     ]
     (outdir / "stamped.csv").write_text("\r\n".join(stamped) + "\r\n", newline="")
+    quoted = [f"timestamp,{header}"] + [
+        f'"{start + timedelta(days=i // 150)}, 09:{30 + i % 30:02d}",{row}'
+        for i, row in enumerate(rows)
+    ]
+    (outdir / "quoted.csv").write_text("\r\n".join(quoted) + "\r\n", newline="")
+    # a blank line after every 100th row
+    spaced = [header] + [row + "\n" * (i % 100 == 99) for i, row in enumerate(rows)]
+    (outdir / "blank_lines.csv").write_text("\n".join(spaced) + "\n", newline="")
     # the second day's date does not exist: every row of that day is bad
     bad_date = [line.replace("2021-01-05", "2021-02-30") for line in stamped]
     (outdir / "bad_date.csv").write_text("\r\n".join(bad_date) + "\r\n", newline="")

@@ -20,17 +20,20 @@ The ``refine`` table replays two inputs built from the generators of
   day's basis, as ``IteratedPCA.fit`` does; the first day is fitted by
   ``jacobi_eigh``.
 
-With ``--baseline DIR`` the ``streampca`` package of that checkout is loaded
-too, under another name, and the two sides run interleaved, one call each in
-turn with the side that goes first alternating, so that both see the same
-load on the host; in a replay each side follows its own chain of bases.
-Prints one JSON object with both tables.  A ``jacobi`` row holds the median
-milliseconds of each side, their ratio, and the residual
-||A V - V diag(values)||_F / max(1, ||A||_F) and the orthonormality
-||V^T V - I||_F of this checkout's result.  A ``refine`` row holds the median
-microseconds per iteration and the iterations per replay of each side, their
-ratio, and whether the baseline's bases, eigenvalues and iteration counts are
-bit-identical (``np.array_equal``) to this checkout's.
+A repeat of a ``jacobi`` row times ``JACOBI_BATCH`` calls, a repeat of a
+``refine`` row one replay.  With ``--baseline DIR`` the ``streampca`` package
+of that checkout is loaded too, under another name, and the two sides run
+interleaved, one call each in turn with the side that goes first
+alternating, so that both see the same load on the host; in a replay each
+side follows its own chain of bases.  Prints one JSON object with both
+tables.  A ``jacobi`` row holds the milliseconds per call of each side (the
+median over repeats, and the quartiles as ``_q1`` and ``_q3``), the ratio of
+the medians, and the residual ||A V - V diag(values)||_F / max(1, ||A||_F)
+and the orthonormality ||V^T V - I||_F of this checkout's result.  A
+``refine`` row holds the microseconds per iteration of each side (median and
+quartiles), the iterations per replay, the ratio of the medians, and whether
+the baseline's bases, eigenvalues and iteration counts are bit-identical
+(``np.array_equal``) to this checkout's.
 
 Usage: python scripts/kernel_timing.py [--baseline DIR] [--sizes 9 12 32 100]
            [--repeats 9] [--seed 0]
@@ -58,6 +61,10 @@ from streampca.ewmstats import ewm_update  # noqa: E402
 from streampca.linalg import jacobi_eigh, sample_covariance  # noqa: E402
 from streampca.refine import DEFAULT_TOL  # noqa: E402
 from streampca.synth import stationary_gaussian  # noqa: E402
+
+# jacobi_eigh calls per repeat: one call of 1-12 ms is too short for a
+# stable median on a shared host
+JACOBI_BATCH = 10
 
 
 def load_package(checkout: Path, name: str):
@@ -94,6 +101,13 @@ def interleave(sides: dict, calls: list, start, repeats: int):
     return seconds, {side: out[side][1:] for side in sides}
 
 
+def quartiles(key: str, seconds: list, scale: float, digits: int) -> dict:
+    """``key`` and ``key_q1``, ``key_q3``: the median and the quartiles of
+    ``seconds`` times ``scale``, rounded to ``digits``."""
+    q1, median, q3 = (round(scale * float(q), digits) for q in np.percentile(seconds, [25, 50, 75]))
+    return {key: median, f"{key}_q1": q1, f"{key}_q3": q3}
+
+
 def jacobi_inputs(p: int, seed: int) -> dict:
     _, dense = sample_covariance(stationary_gaussian(20 * p, p, seed))
     rng = np.random.default_rng(seed)
@@ -103,13 +117,13 @@ def jacobi_inputs(p: int, seed: int) -> dict:
 
 
 def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> dict:
-    calls = [lambda package, _: package.linalg.jacobi_eigh(a)]
+    calls = [lambda package, _: package.linalg.jacobi_eigh(a)] * JACOBI_BATCH
     seconds, out = interleave(sides, calls, None, repeats)
-    ms = {side: round(1e3 * float(np.median(s)), 3) for side, s in seconds.items()}
-    row = {"p": p, "input": kind, "this_ms": ms["this"]}
+    row = {"p": p, "input": kind}
+    for side in sides:
+        row.update(quartiles(f"{side}_ms", seconds[side], 1e3 / JACOBI_BATCH, 3))
     if "baseline" in sides:
-        row["baseline_ms"] = ms["baseline"]
-        row["speedup"] = round(ms["baseline"] / ms["this"], 2)
+        row["speedup"] = round(row["baseline_ms"] / row["this_ms"], 2)
     v, values = out["this"][0].vectors, out["this"][0].values
     row["residual"] = float(np.linalg.norm(a @ v - v * values) / max(1.0, np.linalg.norm(a)))
     row["orthonormality"] = float(np.linalg.norm(v.T @ v - np.eye(p)))
@@ -150,17 +164,13 @@ def refine_row(sides: dict, name: str, covs, start, tol, cap, repeats: int) -> d
     ]
     seconds, out = interleave(sides, calls, (start, None), repeats)
     iters = {side: [diag.iterations for _, diag in out[side]] for side in sides}
-    us = {side: 1e6 * float(np.median(seconds[side])) / sum(iters[side]) for side in sides}
-    row = {
-        "input": name,
-        "calls": len(covs),
-        "this_us_per_iteration": round(us["this"], 2),
-        "this_iterations": sum(iters["this"]),
-    }
+    row = {"input": name, "calls": len(covs)}
+    for side in sides:
+        per_iteration = 1e6 / sum(iters[side])
+        row.update(quartiles(f"{side}_us_per_iteration", seconds[side], per_iteration, 2))
+        row[f"{side}_iterations"] = sum(iters[side])
     if "baseline" in sides:
-        row["baseline_us_per_iteration"] = round(us["baseline"], 2)
-        row["baseline_iterations"] = sum(iters["baseline"])
-        row["speedup"] = round(us["baseline"] / us["this"], 3)
+        row["speedup"] = round(row["baseline_us_per_iteration"] / row["this_us_per_iteration"], 3)
         row["bit_identical"] = iters["this"] == iters["baseline"] and all(
             np.array_equal(x, y) and np.array_equal(d.eigenvalues, e.eigenvalues)
             for (x, d), (y, e) in zip(out["this"], out["baseline"])

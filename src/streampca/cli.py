@@ -14,6 +14,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import date
 from pathlib import Path
@@ -339,7 +340,11 @@ def _parse_int_list(text: str | None, name: str) -> list[int]:
         raise ValueError(f"--{name} must be a comma-separated list of integers") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It names the command
+    (``command``) but holds no command function: ``main`` looks that up by
+    name, so it always runs the module's current ``cmd_*`` binding."""
     parser = argparse.ArgumentParser(
         prog="streampca",
         description="Streaming PCA toolkit: chunked warm-started PCA and "
@@ -398,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="volatility-cluster: AR(1) log-volatility persistence (default 0.97)",
     )
     p.add_argument("--output", required=True, help="CSV path to write")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
         "ipca",
@@ -418,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on refinement divergence, restart the chunk from a fresh "
         "eigendecomposition instead of failing",
     )
-    p.set_defaults(func=cmd_ipca)
 
     p = sub.add_parser(
         "ewmpca",
@@ -426,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="exponentially weighted moving PCA",
     )
     p.add_argument("--output", required=True, help="component series CSV to write")
-    p.set_defaults(func=cmd_ewmpca)
 
     p = sub.add_parser(
         "estimate-alpha", parents=[source, likelihood], help="grid-search ML fit of the decay"
     )
     p.add_argument("--output", required=True, help="CSV path for the likelihood curve")
-    p.set_defaults(func=cmd_estimate_alpha)
 
     p = sub.add_parser(
         "compare",
@@ -444,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="prefix for crosscovariance.csv / crosscorrelation.csv / run.json",
     )
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        run(args)
     except (ValueError, RuntimeError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -8,9 +8,16 @@ so any file written here can be re-ingested by any command without drift.
 The header, row labels and timestamps get the ``csv`` module's minimal
 quoting: a field holding a comma, a double quote or a line break is quoted.
 
-Rows, not cells, are the unit of Python work: a read parses a row with one
-``map(float, ...)`` and checks it with one ``map(math.isfinite, ...)``, and
-a write formats a row's numbers with one ``%`` on a whole-row format.
+Two readers give one result.  A plain table, such as any table written here
+without a quoted field, has its numbers parsed by numpy's C reader
+(``np.loadtxt``), which rounds each one as ``float()`` does, and its
+timestamps cut off with ``str.partition``.  Plain means: ASCII text with no
+``"`` and none of the separators 0x1C-0x1F, only CRLF or only LF line ends,
+no blank line, and as many commas on every line as in the header.  Every
+other file, and every plain one with a cell that numpy cannot parse or reads
+as non-finite, goes to the ``csv`` row reader, which parses a row with one
+``map(float, ...)`` and words every error.  A write formats a row's numbers
+with one ``%`` on a whole-row format and writes each line as one string.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +84,68 @@ def _cell_error(path, lineno: int, names: list[str], cells: list[str]) -> ValueE
 
 def read_table(path) -> ObservationTable:
     """Parse a CSV observation table; errors name the offending line."""
+    table = _read_plain(path)
+    return _read_rows(path) if table is None else table
+
+
+# Characters that keep a file off numpy's reader: csv's quote, and the four
+# ASCII separators that numpy strips from a number as whitespace and float()
+# does not.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(path) -> ObservationTable | None:
+    """The table at ``path`` if it is a plain table that numpy's reader parses
+    into finite numbers, else None.  The cells are then split exactly as the
+    ``csv`` reader splits them, and every number has the bits ``float()``
+    gives it, so the result equals the row reader's."""
+    try:
+        with open(path, newline="") as fh:
+            # line by line, as the row reader reads: one string of the whole
+            # file would raise the peak memory of a read
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        return None  # the row reader raises it where its stream meets it
+    if len(lines) < 2 or not all(map(str.isascii, lines)):
+        return None
+    if any(any(map(str.__contains__, lines, repeat(c))) for c in _NOT_PLAIN):
+        return None
+    # readlines ends a line at CRLF, LF or a lone CR.  Plain lines end with LF,
+    # all with CRLF or none, and only the last line may have no line end.
+    lf = sum(map(str.endswith, lines, repeat("\n")))
+    crlf = sum(map(str.endswith, lines, repeat("\r\n")))
+    if crlf not in (0, lf):
+        return None
+    if lf < len(lines) and (lf < len(lines) - 1 or lines[-1].endswith(("\r", "\n"))):
+        return None
+    # numpy skips a blank line, as the row reader does, but warns when no line is left
+    if "\n" in lines or "\r\n" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    has_ts = header[0] == TIMESTAMP_COLUMN
+    names = header[1:] if has_ts else header
+    if not names or set(map(str.count, lines, repeat(","))) != {len(header) - 1}:
+        return None
+    try:
+        data = np.loadtxt(
+            lines,
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            ndmin=2,
+            usecols=range(1, len(header)) if has_ts else None,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    timestamps = [line.partition(",")[0] for line in islice(lines, 1, None)] if has_ts else None
+    return ObservationTable(column_names=names, data=data, timestamps=timestamps)
+
+
+def _read_rows(path) -> ObservationTable:
+    """The ``csv`` row reader: parses any file ``read_table`` accepts and
+    words every error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -120,17 +190,18 @@ def _write_rows(path, header: list[str], matrix: np.ndarray, labels=None) -> Non
             for row in matrix:
                 write(numbers % tuple(row.tolist()))
             return
-        # Labels get csv's own quoting from a writer that appends the label,
-        # a delimiter and the line end to ``quoted``; the line end is cut off.
-        # The writer keeps the default "\r\n" line end because csv quotes a
-        # line break only when the line end holds it, and the empty second
-        # field keeps an empty label unquoted (csv writes a lone "" field).
+        # Labels get csv's own quoting from one writer call that appends each
+        # label, a delimiter and the line end to ``quoted``; the line end is
+        # cut off.  The writer keeps the default "\r\n" line end because csv
+        # quotes a line break only when the line end holds it, and the empty
+        # second field keeps an empty label unquoted (csv writes a lone ""
+        # field).
         quoted: list[str] = []
-        quote = csv.writer(SimpleNamespace(write=quoted.append)).writerow
-        for label, row in zip(labels, matrix):
-            quote((label, ""))
-            write(quoted.pop()[:-2])
-            write(numbers % tuple(row.tolist()))
+        csv.writer(SimpleNamespace(write=quoted.append)).writerows(
+            (label, "") for label in labels
+        )
+        for label, row in zip(quoted, matrix):
+            write(label[:-2] + numbers % tuple(row.tolist()))
 
 
 def write_table(path, table: ObservationTable) -> None:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from streampca import cli
 from streampca.cli import build_parser, main
 
 PARSE_CASES = [
@@ -99,7 +100,8 @@ PARSE_CASES = [
 )
 def test_parse_result_is_unchanged(argv, expected):
     parsed = vars(build_parser().parse_args(argv))
-    assert callable(parsed.pop("func"))
+    # main runs the command function that the parsed command names
+    assert callable(getattr(cli, "cmd_" + parsed["command"].replace("-", "_")))
     assert parsed == expected
     assert all(type(parsed[k]) is type(v) for k, v in expected.items())
 

@@ -78,6 +78,7 @@ def test_jacobi_timing_reports_every_size_and_input(kernel_timing_result):
         (3, "dense"), (3, "near-diagonal"), (4, "dense"), (4, "near-diagonal")
     ]
     assert all(row["residual"] <= 1e-12 and row["orthonormality"] <= 1e-12 for row in table)
+    assert_quartiles(table, ["this_ms", "baseline_ms"])
 
 
 def test_refine_timing_replays_both_inputs_bit_identically(kernel_timing_result):
@@ -86,6 +87,14 @@ def test_refine_timing_replays_both_inputs_bit_identically(kernel_timing_result)
     for row in table:
         assert row["this_iterations"] == row["baseline_iterations"] >= row["calls"]
         assert row["bit_identical"] is True
+    assert_quartiles(table, ["this_us_per_iteration", "baseline_us_per_iteration"])
+
+
+def assert_quartiles(table, keys):
+    """Each timing sits between its quartiles, ``_q1`` and ``_q3``."""
+    for row in table:
+        for key in keys:
+            assert 0 < row[f"{key}_q1"] <= row[key] <= row[f"{key}_q3"]
 
 
 @pytest.mark.parametrize("flag", ["--repeats", "--sizes"])

@@ -49,3 +49,23 @@ def test_traced_spans_see_the_kernel(tmp_path):
     # uninstalled: further calls are no longer counted
     model.add(x[20])
     assert tracer.calls["ewmpca.add"] == 20
+
+
+def test_cached_parser_runs_the_current_command_binding(tmp_path):
+    # The parser is built once per process, so a tracer installed after the
+    # first command must still see the command, and stop seeing it once it
+    # is uninstalled.
+    x = stationary_gaussian(200, 3, seed=3)
+    inp = tmp_path / "in.csv"
+    write_table(inp, ObservationTable(["x1", "x2", "x3"], x))
+    argv = ["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(tmp_path / "z.csv")]
+    assert cli.main(argv) == 0
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["cli.cmd_ipca"] == 1
+    assert cli.main(argv) == 0
+    assert tracer.calls["cli.cmd_ipca"] == 1
