@@ -36,24 +36,28 @@ SYNTH = [
                      "--seed", "4", "--output", "short.csv"]),
     ("synth-wide", ["--kind", "stationary-gaussian", "--rows", "150", "--cols", "48",
                     "--seed", "2", "--output", "wide.csv"]),
+    ("synth-regime9", ["--kind", "regime-switch", "--rows", "3000", "--cols", "9",
+                       "--switch-points", "1500", "--seed", "7", "--output", "regime9.csv"]),
 ]
 ML_GRID = ["--grid", "0.9:0.99:0.01"]
 # (case, argv); the cases named error-* are expected to exit 1
 COMMANDS = [
     ("ipca-chunk200", ["ipca", "gauss.csv", "--chunk-spec", "chunk=200"]),
     ("ipca-by-day", ["ipca", "stamped.csv", "--chunk-spec", "by=day"]),
-    ("ipca-reseed", ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--reseed",
-                     "--tol", "1e-8", "--max-iter", "30"]),
+    ("ipca-regime-tol", ["ipca", "regime.csv", "--chunk-spec", "chunk=401",
+                         "--tol", "1e-8", "--max-iter", "30"]),
     ("ipca-chunk100", ["ipca", "regime.csv", "--chunk-spec", "chunk=100"]),
     ("ipca-max-iter", ["ipca", "vc.csv", "--chunk-spec", "chunk=100", "--max-iter", "2"]),
-    ("ipca-reseed-max-iter", ["ipca", "regime.csv", "--chunk-spec", "chunk=100", "--reseed",
+    ("ipca-regime-max-iter", ["ipca", "regime.csv", "--chunk-spec", "chunk=100",
                               "--max-iter", "2"]),
+    # chunks 3 and 4 straddle the switch and take the kernel's Jacobi rotation
+    ("ipca-regime9-tol", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401",
+                          "--tol", "1e-8", "--max-iter", "30"]),
     ("ewmpca-numeric", ["ewmpca", "gauss.csv", "--alpha", "0.97"]),
     ("ewmpca-numeric-controls", ["ewmpca", "regime.csv", "--alpha", "0.95", "--tol", "1e-9",
                                  "--max-iter", "5"]),
     ("ewmpca-ml", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID]),
-    ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50",
-                           "--warmup", "30"]),
+    ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50"]),
     ("estimate-alpha-default", ["estimate-alpha", "vc.csv"]),
     ("estimate-alpha-grid", ["estimate-alpha", "regime.csv", "--grid", "0.85:0.97:0.02",
                              "--burn-in", "21"]),

@@ -28,6 +28,7 @@ from .linalg import (
 )
 from .refine import (
     DivergenceError,
+    RecoveryError,
     RefineDiagnostics,
     estimate_eigenvalues,
     refine_step,
@@ -42,6 +43,7 @@ __all__ = [
     "EwmState",
     "DivergenceError",
     "IteratedPCA",
+    "RecoveryError",
     "RefineDiagnostics",
     "SingularCovarianceError",
     "default_alpha_grid",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .ewmpca import DEFAULT_SEED_ROWS, EwmPCA
+from .ewmpca import EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
@@ -40,7 +40,8 @@ __all__ = ["main"]
 
 _BY_PREFIX = {"year": 4, "month": 7, "day": 10}
 
-# sign_continuity entries below this count as sign flips (a flip is near -1, a swap near 0)
+# A new component whose dot with the previous component it matches best (largest
+# |dot|) is below this counts as a sign flip (a flip is near -1).
 SIGN_FLIP_THRESHOLD = -0.5
 
 
@@ -93,7 +94,8 @@ def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
         except ValueError:
             i = heads.index(head)
             raise ValueError(
-                f"line {i + 2}: timestamp {table.timestamps[i]!r} is not ISO-8601 (YYYY-MM-DD...)"
+                f"line {table.line_of(i)}: timestamp {table.timestamps[i]!r} "
+                "is not ISO-8601 (YYYY-MM-DD...)"
             ) from None
     width = _BY_PREFIX[value]
     keys = [ts[:width] for ts in table.timestamps]
@@ -156,26 +158,24 @@ def cmd_ipca(args) -> None:
     eigenvalues: list[list[float]] = []
     iterations: list[int | None] = []
     continuity: list[list[float]] = []
-    reseeded: list[int] = []
+    fallback: list[int] = []
+    flips = 0
     previous = None
     for k, (lo, hi) in enumerate(bounds):
         chunk = table.data[lo:hi]
         try:
-            model.fit(chunk, reseed=args.reseed)
-        except DivergenceError as err:
-            # The kernel's own message, without fit's library-level hint.
-            raise DivergenceError(
-                f"chunk {k} (rows {lo + 1}-{hi}) failed to refine: {err.__cause__}; "
-                "rerun with --reseed to restart that chunk from a fresh "
-                "eigendecomposition"
-            ) from err
-        except (ValueError, OverflowError) as err:
+            model.fit(chunk)
+        except (ValueError, OverflowError, DivergenceError) as err:
             raise type(err)(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
         diag = model.last_fit_diagnostics_
-        if k > 0 and diag is None:
-            reseeded.append(k)
+        if diag is not None and diag.fallback:
+            fallback.append(k)
         if previous is not None:
             continuity.append(np.einsum("ij,ij->j", previous, model.components_).tolist())
+            # a rotation may reorder components: match each by its largest |dot|
+            dots = previous.T @ model.components_
+            matched = dots[abs(dots).argmax(axis=0), range(dots.shape[1])]
+            flips += int((matched < SIGN_FLIP_THRESHOLD).sum())
         previous = model.components_
         eigenvalues.append(model.explained_variance_.tolist())
         iterations.append(None if diag is None else diag.iterations)
@@ -185,16 +185,15 @@ def cmd_ipca(args) -> None:
     _write_sidecar(
         _sidecar_path(args.output),
         "ipca",
-        _pick(args, "input", "chunk_spec", "reseed", "tol", "max_iter"),
+        _pick(args, "input", "chunk_spec", "tol", "max_iter"),
         eigenvalues=eigenvalues,
         iterations=iterations,
         diagnostics={
             "chunk_bounds": [[lo, hi] for lo, hi in bounds],
             "sign_continuity": continuity,
-            "reseeded_chunks": reseeded,
+            "fallback_chunks": fallback,
         },
     )
-    flips = sum(1 for row in continuity for v in row if v < SIGN_FLIP_THRESHOLD)
     _info(
         f"ipca: {len(bounds)} chunk(s), {flips} sign discontinuities, "
         f"wrote {args.output}"
@@ -241,12 +240,12 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
         ml = None
-    model = EwmPCA(alpha, tol=args.tol, max_iter_count=args.max_iter, warmup_rows=args.warmup)
+    model = EwmPCA(alpha, tol=args.tol, max_iter_count=args.max_iter)
     return alpha, ml, model, model.add_all(data)
 
 
 # sidecar params of the two commands that run EwmPCA
-_EWM_PARAMS = ("input", "alpha", "warmup", "tol", "max_iter", "grid", "burn_in")
+_EWM_PARAMS = ("input", "alpha", "tol", "max_iter", "grid", "burn_in")
 
 
 def cmd_ewmpca(args) -> None:
@@ -374,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="decay in (0, 1), or 'ml' to fit it by maximum likelihood first",
     )
-    decay.add_argument(
-        "--warmup", type=int, default=DEFAULT_SEED_ROWS, help="warm-up rows (default %(default)s)"
-    )
 
     p = sub.add_parser("synth", help="write a seeded synthetic observation table")
     p.add_argument(
@@ -416,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         "last full chunk) or 'by=year|month|day' (needs a timestamp column)",
     )
     p.add_argument("--output", required=True, help="component series CSV to write")
-    p.add_argument(
-        "--reseed",
-        action="store_true",
-        help="on refinement divergence, restart the chunk from a fresh "
-        "eigendecomposition instead of failing",
-    )
 
     p = sub.add_parser(
         "ewmpca",

@@ -14,6 +14,10 @@ matrix.  On a fresh, unseeded model ``add_all`` first seeds the basis from
 the sample covariance of its leading rows (up to 100, or p + 1 when p is
 wider), then processes every row from the beginning so the output stays
 row-aligned with the input.
+
+Each refinement is certified, with at most one Jacobi rotation of S per row
+(:func:`streampca.refine.refine_to_convergence`), so pure online mode
+converges from the identity, a false fixed point of most covariances.
 """
 
 from __future__ import annotations
@@ -32,14 +36,8 @@ from .refine import DEFAULT_TOL, DivergenceError, _check_controls, refine_to_con
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
-# Head length used to seed the initial basis in batch mode (raised to p + 1
-# for wider inputs), and the default span of the warm-up iteration cap.
+# Head length used to seed the initial basis in batch mode (p + 1 if wider).
 DEFAULT_SEED_ROWS = 100
-
-# During warm-up the moving covariance is rank-deficient; its zero-eigenvalue
-# cluster keeps refinement steps bounded but can stall short of tol, so the
-# step count is capped while no user cap is set.
-WARMUP_MAX_ITER = 20
 
 
 def seed_initial_basis(x_head) -> np.ndarray:
@@ -68,8 +66,6 @@ class EwmPCA:
         omitted, batch mode seeds from the leading rows and pure online mode
         starts from the identity
     tol, max_iter_count : refinement controls per observation, checked here
-    warmup_rows : observations during which refinement is capped at
-        WARMUP_MAX_ITER steps (only when ``max_iter_count`` is None)
 
     Attributes
     ----------
@@ -77,6 +73,7 @@ class EwmPCA:
         the first
     truncation_count : observations whose refinement stopped at its step
         cap (see :func:`streampca.refine.refine_to_convergence`)
+    fallback_count : observations whose refinement took its Jacobi rotation
     """
 
     def __init__(
@@ -85,13 +82,11 @@ class EwmPCA:
         initial_basis=None,
         tol: float = DEFAULT_TOL,
         max_iter_count: int | None = None,
-        warmup_rows: int = DEFAULT_SEED_ROWS,
     ):
         self.alpha = _check_alpha(alpha)
         _check_controls(tol, max_iter_count)
         self.tol = tol
         self.max_iter_count = max_iter_count
-        self.warmup_rows = int(warmup_rows)
         self._basis: np.ndarray | None = None
         if initial_basis is not None:
             basis = as_matrix(initial_basis, "initial_basis")
@@ -107,6 +102,7 @@ class EwmPCA:
         self._eigenvalues: np.ndarray | None = None
         self.iteration_counts: list[int] = []
         self.truncation_count = 0
+        self.fallback_count = 0
 
     @property
     def basis(self) -> np.ndarray | None:
@@ -149,24 +145,18 @@ class EwmPCA:
             return np.zeros(p)
         state = ewm_update(self._ewm, x)
         centered = x - state.mean
-        cap = self.max_iter_count
-        if cap is None and state.count <= self.warmup_rows:
-            cap = WARMUP_MAX_ITER
         try:
             basis, diagnostics = refine_to_convergence(
-                state.cov, self._basis, tol=self.tol, max_iter_count=cap
+                state.cov, self._basis, tol=self.tol, max_iter_count=self.max_iter_count
             )
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"eigenbasis refinement diverged at observation {state.count}: {err}"
-            ) from err
-        except (ValueError, OverflowError) as err:
+        except (ValueError, OverflowError, DivergenceError) as err:
             raise type(err)(f"observation {state.count}: {err}") from err
         self._ewm = state
         self._basis = basis
         self._eigenvalues = diagnostics.eigenvalues
         self.iteration_counts.append(diagnostics.iterations)
         self.truncation_count += diagnostics.truncated
+        self.fallback_count += diagnostics.fallback
         return centered @ basis
 
     def add_all(self, x) -> np.ndarray:
@@ -182,8 +172,7 @@ class EwmPCA:
             raise ValueError("X contains non-finite entries")
         n, p = arr.shape
         if n > 0 and self._ewm is None and self._basis is None:
-            # p + 1 rows at least: fewer leave the identity, an exact false
-            # fixed point of the refinement, in place at p >= DEFAULT_SEED_ROWS.
+            # p + 1 rows at least: fewer cannot seed at p >= DEFAULT_SEED_ROWS.
             head = arr[: min(max(DEFAULT_SEED_ROWS, p + 1), n)]
             if head.shape[0] >= p + 1:
                 try:

@@ -13,20 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, jacobi_eigh, sample_covariance
-from .refine import (
-    DEFAULT_TOL, DivergenceError, RefineDiagnostics, _check_controls, refine_to_convergence
-)
+from .refine import DEFAULT_TOL, RefineDiagnostics, _check_controls, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
-
-
-def _align_signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Flip columns of ``vectors`` whose dot with the same column of
-    ``reference`` is negative.  Zero dots are left alone."""
-    out = vectors.copy()
-    flip = np.einsum("ij,ij->j", reference, out) < 0.0
-    out[:, flip] *= -1.0
-    return out
 
 
 class IteratedPCA:
@@ -70,15 +59,12 @@ class IteratedPCA:
                 f"X has {x.shape[1]} columns but the model was fitted with {p}"
             )
 
-    def fit(self, x, reseed: bool = False) -> "IteratedPCA":
+    def fit(self, x) -> "IteratedPCA":
         """Fit on one chunk of observations (rows).
 
         Warm-started fits refine the previous eigenbasis on this chunk's
-        covariance.  If the refinement diverges the fit fails loudly; passing
-        ``reseed=True`` instead restarts from a fresh eigendecomposition with
-        column signs aligned to the previous basis.  A silent fallback would
-        reintroduce the very sign discontinuities warm starting exists to
-        prevent, so it is opt-in.
+        covariance; a failed refinement raises RecoveryError and leaves the
+        model as it was.
         """
         x = as_matrix(x, "X")
         if self.fitted:
@@ -89,20 +75,10 @@ class IteratedPCA:
             basis = jacobi_eigh(cov)
             vectors, values = basis.vectors, basis.values
         else:
-            try:
-                vectors, diagnostics = refine_to_convergence(
-                    cov, self.components_, tol=self.tol, max_iter_count=self.max_iter_count
-                )
-                values = diagnostics.eigenvalues
-            except DivergenceError as err:
-                if not reseed:
-                    raise DivergenceError(
-                        f"{err}; refit this chunk with reseed=True to restart "
-                        "from a fresh eigendecomposition"
-                    ) from err
-                basis = jacobi_eigh(cov)
-                vectors = _align_signs(basis.vectors, self.components_)
-                values = basis.values
+            vectors, diagnostics = refine_to_convergence(
+                cov, self.components_, tol=self.tol, max_iter_count=self.max_iter_count
+            )
+            values = diagnostics.eigenvalues
         self.means_ = means
         self.components_ = vectors
         self.explained_variance_ = values
@@ -118,7 +94,7 @@ class IteratedPCA:
         self._check_columns(x)
         return (x - self.means_) @ self.components_
 
-    def fit_transform(self, x, reseed: bool = False) -> np.ndarray:
+    def fit_transform(self, x) -> np.ndarray:
         """fit followed by transform on the same chunk."""
-        self.fit(x, reseed=reseed)
+        self.fit(x)
         return self.transform(x)

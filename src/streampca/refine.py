@@ -28,6 +28,11 @@ of S with lambda subtracted from its diagonal in place, so a step builds
 neither D nor a copy of S.  ``refine_to_convergence`` returns the columns in
 descending order of their eigenvalue estimates, so a warm refit keeps the
 component order of a first fit.
+
+When delta exceeds every gap, an orthonormal Xhat gets E = 0: a false fixed
+point.  So a stop is certified, and a failed one rotates Xhat by the Jacobi
+eigenbasis of the whole S; for small p this stands in for the clustered-block
+step of Ogita and Aishima, JJIAM 36 (2019).
 """
 
 from __future__ import annotations
@@ -37,11 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_norm
+from .linalg import frobenius_norm, jacobi_eigh
 
 __all__ = [
+    "CERT_RTOL",
     "DEFAULT_TOL",
     "DivergenceError",
+    "RecoveryError",
     "RefineDiagnostics",
     "estimate_eigenvalues",
     "refine_step",
@@ -61,9 +68,16 @@ DIVERGENCE_FACTOR = 1e6
 # divergence guard; hitting the cap is reported as ``truncated=True``.
 MAX_ITER = 100
 
+# A tolerance stop is certified when ||S - D|| <= CERT_RTOL ||A||.
+CERT_RTOL = 1e-10
+
 
 class DivergenceError(RuntimeError):
     """Refinement step norms blew up instead of contracting."""
+
+
+class RecoveryError(DivergenceError):
+    """Refinement failed again after its one Jacobi rotation of S."""
 
 
 @dataclass(frozen=True)
@@ -72,13 +86,15 @@ class RefineDiagnostics:
 
     ``step_norm_history`` holds the norm of every update in order;
     ``truncated`` means the iteration cap stopped the loop (the tolerance may
-    not have been reached).  ``eigenvalues`` holds the estimates of the
-    returned basis, in its column order.
+    not have been reached), ``fallback`` that S's Jacobi eigenbasis rotated
+    the basis.  ``eigenvalues`` holds the estimates of the returned basis, in
+    its column order.
     """
 
     iterations: int
     step_norm_history: tuple[float, ...]
     truncated: bool
+    fallback: bool
     eigenvalues: np.ndarray = field(compare=False)
 
 
@@ -183,22 +199,25 @@ def refine_to_convergence(
     """Repeat refinement steps until the update norm drops below ``tol``.
 
     Stops when ||X' - X|| < tol, or unconditionally once ``max_iter_count``
-    steps (MAX_ITER when None) have run; diagnostics then carry
+    steps (MAX_ITER when None) have run in all; diagnostics then carry
     ``truncated=True`` and the tolerance may not have been reached.  Either
     way the freshly stepped matrix is returned, never the pre-step iterate,
     with its columns sorted by descending eigenvalue estimate; the sorted
     estimates come back as ``diagnostics.eigenvalues``.
 
-    Raises DivergenceError when a step norm exceeds DIVERGENCE_FACTOR times
-    the first step norm: the initial guess is too far off (or the spectrum
-    too clustered) for the iteration to contract.  Raises OverflowError
+    A tolerance stop must pass the certificate ||S - D|| <= CERT_RTOL ||A||.
+    Once per call, a failed certificate rotates the iterate, and a step norm
+    above DIVERGENCE_FACTOR times the first of its pass rotates the incoming
+    basis, by the Jacobi eigenbasis of S (``diagnostics.fallback``).  A second
+    failure raises RecoveryError, a DivergenceError.  Raises OverflowError
     before the first step when ||A|| overflows float64, and ValueError when A
     or Xhat has a non-finite entry.
     """
     _check_controls(tol, max_iter_count)
     # Xhat is checked here, before an infinite entry can reach a product; A
     # only once its norm comes out non-finite, so A costs the per-row path nothing.
-    a, x = _check_pair(a, xhat, check_a=False)
+    a, xhat = _check_pair(a, xhat, check_a=False)
+    x = xhat
     cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
     with np.errstate(over="ignore"):
@@ -211,25 +230,36 @@ def refine_to_convergence(
             f"float64 (largest entry {np.abs(a).max():.3e}); rescale the data"
         )
     steps: list[float] = []
+    first, fallback = 0, False  # first: index of the current pass's first step
     while True:
         new_x = _step(a, x, eye, norm_a)
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         if len(steps) == cap or eps < tol:
-            break
-        if eps > DIVERGENCE_FACTOR * steps[0]:
-            raise DivergenceError(
-                f"refinement diverging: step norm {eps:.3e} exceeds "
-                f"{DIVERGENCE_FACTOR:.0e} x first step norm {steps[0]:.3e} "
-                f"after {len(steps)} iterations"
-            )
-        x = new_x
-    lam, _, _ = _rayleigh(a, new_x, eye)
+            lam, _, s_minus_d = _rayleigh(a, new_x, eye)
+            off = frobenius_norm(s_minus_d)
+            if len(steps) == cap or off <= CERT_RTOL * norm_a:
+                break
+            failure = f"uncertified stop: ||S - D|| = {off:.3e} > {CERT_RTOL:.0e} x ||A||"
+            restart = new_x
+        elif eps > DIVERGENCE_FACTOR * steps[first]:
+            failure = (f"refinement diverging: step norm {eps:.3e} exceeds {DIVERGENCE_FACTOR:.0e}"
+                       f" x first step norm {steps[first]:.3e} after {len(steps)} iterations")
+            restart = xhat
+        else:
+            x = new_x
+            continue
+        if fallback:
+            raise RecoveryError(f"{failure}, after a Jacobi rotation of S")
+        fallback, first = True, len(steps)
+        # W's columns are positive at their largest entries: X W keeps signs
+        x = np.dot(restart, jacobi_eigh(np.dot(restart.T, np.dot(a, restart))).vectors)
     order = (-lam).argsort(kind="stable")
     diagnostics = RefineDiagnostics(
         iterations=len(steps),
         step_norm_history=tuple(steps),
         truncated=len(steps) == cap,
+        fallback=fallback,
         eigenvalues=lam[order],
     )
     return new_x[:, order], diagnostics

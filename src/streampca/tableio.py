@@ -47,6 +47,8 @@ class ObservationTable:
     column_names: list[str]
     data: np.ndarray
     timestamps: list[str] | None = None
+    # each row's file line from the row reader; None: row i is on line i + 2
+    _row_lines: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -62,6 +64,10 @@ class ObservationTable:
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
+
+    def line_of(self, i: int) -> int:
+        """The physical line, counted from 1, that row ``i`` was read from."""
+        return i + 2 if self._row_lines is None else self._row_lines[i]
 
 
 def _cell_error(path, lineno: int, names: list[str], cells: list[str]) -> ValueError:
@@ -158,9 +164,12 @@ def _read_rows(path) -> ObservationTable:
             raise ValueError(f"{path}: no numeric columns in header")
         timestamps: list[str] | None = [] if has_ts else None
         rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        row_lines: list[int] = []
+        for row in reader:
             if not row:
                 continue
+            # the line the record ends on: a quoted field may hold line breaks
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
@@ -175,8 +184,11 @@ def _read_rows(path) -> ObservationTable:
             if has_ts:
                 timestamps.append(row[0])
             rows.append(values)
+            row_lines.append(lineno)
     data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return ObservationTable(column_names=names, data=data, timestamps=timestamps)
+    table = ObservationTable(column_names=names, data=data, timestamps=timestamps)
+    table._row_lines = row_lines
+    return table
 
 
 def _write_rows(path, header: list[str], matrix: np.ndarray, labels=None) -> None:

@@ -31,3 +31,53 @@ def frobenius_perturbation(shape, size, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def hard_streams(n):
+    """Streams whose spectra are hard for the refinement, by name: iid at
+    p = 6 (near-isotropic), a geometric ratio 2 at p = 9, two strong factors
+    over a tight cluster of six noise eigenvalues near 1e-8 of the norm, a
+    duplicated column and a constant column (each an exact zero eigenvalue)."""
+    rng = np.random.default_rng(0)
+    iid = rng.standard_normal((n, 6))
+    ratio2 = rng.standard_normal((n, 9)) @ np.diag(2.0 ** np.arange(4.0, -0.5, -0.5))
+    ratio2 = ratio2 @ random_orthogonal(9, rng)
+    factors = (rng.standard_normal((n, 2)) * [10.0, 7.0]) @ random_orthogonal(8, rng)[:2]
+    constant = iid.copy()
+    constant[:, 2] = 3.0
+    return {
+        "iid": iid,
+        "ratio-2": ratio2,
+        "clustered": factors + 1e-3 * rng.standard_normal((n, 8)),
+        "duplicated-column": np.column_stack([iid[:, :5], iid[:, 0]]),
+        "constant-column": constant,
+    }
+
+
+HARD_STREAMS = list(hard_streams(2))
+
+
+def record_refinements(monkeypatch, module):
+    """Replace ``module.refine_to_convergence`` by a wrapper that appends
+    (A, returned basis, diagnostics) of every call to the list returned."""
+    calls = []
+    real = module.refine_to_convergence
+
+    def recording(a, xhat, **controls):
+        basis, diagnostics = real(a, xhat, **controls)
+        calls.append((np.array(a), basis, diagnostics))
+        return basis, diagnostics
+
+    monkeypatch.setattr(module, "refine_to_convergence", recording)
+    return calls
+
+
+def worst_relative_residual(calls):
+    """The largest ||A V - V diag(lambda)||_F / ||A||_F over recorded calls;
+    every call must have stopped at its tolerance, not at its step cap."""
+    worst = 0.0
+    for a, v, diagnostics in calls:
+        assert not diagnostics.truncated
+        residual = np.linalg.norm(a @ v - v * diagnostics.eigenvalues)
+        worst = max(worst, residual / max(np.linalg.norm(a), np.finfo(float).tiny))
+    return worst

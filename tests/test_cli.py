@@ -6,7 +6,7 @@ import pytest
 from streampca.cli import chunk_bounds, main, parse_chunk_spec, parse_grid_spec
 from streampca.ipca import IteratedPCA
 from streampca.linalg import cross_correlation, cross_covariance
-from streampca.refine import DivergenceError
+from streampca.refine import RecoveryError, refine_to_convergence
 from streampca.synth import regime_switch, stationary_gaussian
 from streampca.tableio import ObservationTable, read_table, write_table
 
@@ -86,6 +86,17 @@ def test_chunk_bounds_names_the_first_line_of_a_repeated_bad_date():
         chunk_bounds(table, "by=day")
     assert str(excinfo.value) == (
         "line 5: timestamp '2021-02-30T09:30:00' is not ISO-8601 (YYYY-MM-DD...)"
+    )
+
+
+def test_bad_timestamp_names_its_line_after_blank_lines(tmp_path, capsys):
+    # the row reader skips the blank lines 3 and 4: row index + 2 is line 3
+    path = tmp_path / "blank.csv"
+    path.write_text("timestamp,a\n2021-01-04,1\n\n\n2021-02-30,2\n")
+    rc = main(["ipca", str(path), "--chunk-spec", "by=day", "--output", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 5: timestamp '2021-02-30' is not ISO-8601 (YYYY-MM-DD...)\n"
     )
 
 
@@ -179,22 +190,38 @@ def test_ipca_stationary_chunks_sign_continuous(tmp_path):
     assert all(isinstance(i, int) for i in sidecar["iterations"][1:])
 
 
-def test_ipca_counts_flipped_columns_not_swapped_ones(tmp_path, capsys, monkeypatch):
-    # the ipca-chunk100 case of scripts/cli_snapshot.py: two components swap
-    # places at the regime switch, with continuity entries of about -3e-17 and 0
+def regime_switch_table(tmp_path, rows, cols, seed, switch):
     regime = tmp_path / "regime.csv"
-    assert main(["synth", "--kind", "regime-switch", "--rows", "600", "--cols", "3",
-                 "--switch-points", "300", "--seed", "2", "--output", str(regime)]) == 0
+    assert main(["synth", "--kind", "regime-switch", "--rows", str(rows), "--cols", str(cols),
+                 "--switch-points", str(switch), "--seed", str(seed), "--output", str(regime)]) == 0
+    return regime
+
+
+def assert_chunk_eigenvalues_exact(table, sidecar, rtol):
+    """Every chunk's eigenvalues against numpy's eigvalsh of its covariance."""
+    data = read_table(table).data
+    for (lo, hi), values in zip(sidecar["diagnostics"]["chunk_bounds"], sidecar["eigenvalues"]):
+        exact = np.linalg.eigvalsh(np.cov(data[lo:hi], rowvar=False))[::-1]
+        assert np.max(np.abs(np.array(values) - exact) / np.abs(exact)) <= rtol
+
+
+def test_ipca_counts_flipped_columns_not_swapped_ones(tmp_path, capsys, monkeypatch):
+    # the ipca-chunk100 case of scripts/cli_snapshot.py: at the regime switch
+    # chunk 3 is rotated onto its new eigenbasis, whose columns pair with the
+    # previous ones by their largest |dot|, not by index
+    regime = regime_switch_table(tmp_path, 600, 3, 2, 300)
     out = tmp_path / "z.csv"
     assert main(["ipca", str(regime), "--chunk-spec", "chunk=100", "--output", str(out)]) == 0
     assert "6 chunk(s), 0 sign discontinuities" in capsys.readouterr().err
-    continuity = json.loads((tmp_path / "z.json").read_text())["diagnostics"]["sign_continuity"]
-    assert -1e-15 < min(map(min, continuity)) <= 0.0
+    sidecar = json.loads((tmp_path / "z.json").read_text())
+    assert sidecar["diagnostics"]["fallback_chunks"] == [3]
+    assert min(map(min, sidecar["diagnostics"]["sign_continuity"])) < -0.2
+    assert_chunk_eigenvalues_exact(regime, sidecar, 1e-12)
 
     fit = IteratedPCA.fit
 
-    def flip_second_fit(self, x, reseed=False):
-        fit(self, x, reseed=reseed)
+    def flip_second_fit(self, x):
+        fit(self, x)
         if self.fit_count_ == 2:
             self.components_ = self.components_ * [1.0, -1.0, 1.0, 1.0]
         return self
@@ -205,6 +232,19 @@ def test_ipca_counts_flipped_columns_not_swapped_ones(tmp_path, capsys, monkeypa
     assert "3 chunk(s), 1 sign discontinuities" in capsys.readouterr().err
     continuity = json.loads((tmp_path / "z.json").read_text())["diagnostics"]["sign_continuity"]
     assert continuity[0][1] < -0.9 and continuity[1][1] > 0.9
+
+
+def test_ipca_across_a_regime_switch_is_exact_and_sign_continuous(tmp_path, capsys):
+    # without the certificate, chunks from the switch on stop at a false
+    # fixed point with eigenvalues tens of percent off
+    regime = regime_switch_table(tmp_path, 3000, 9, 7, 1500)
+    out = tmp_path / "z.csv"
+    assert main(["ipca", str(regime), "--chunk-spec", "chunk=401", "--tol", "1e-8",
+                 "--max-iter", "30", "--output", str(out)]) == 0
+    assert "8 chunk(s), 0 sign discontinuities" in capsys.readouterr().err
+    sidecar = json.loads((tmp_path / "z.json").read_text())
+    assert sidecar["diagnostics"]["fallback_chunks"]
+    assert_chunk_eigenvalues_exact(regime, sidecar, 1e-12)
 
 
 def test_ipca_by_year_chunks_and_keeps_timestamps(tmp_path):
@@ -237,26 +277,29 @@ def test_ipca_unparseable_row_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_ipca_divergence_names_chunk_and_reseed_recovers(tmp_path, capsys, monkeypatch):
+def test_ipca_divergence_names_chunk_and_fallback_is_reported(tmp_path, capsys, monkeypatch):
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
     out = tmp_path / "z.csv"
 
     def always_diverge(*args, **kwargs):
-        raise DivergenceError("synthetic divergence")
+        raise RecoveryError("synthetic divergence")
 
-    monkeypatch.setattr("streampca.ipca.refine_to_convergence", always_diverge)
-    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
+    with monkeypatch.context() as patch:
+        patch.setattr("streampca.ipca.refine_to_convergence", always_diverge)
+        rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "chunk 1" in err and "synthetic divergence" in err
-    # one hint, in the CLI's own terms
-    assert err.count("--reseed") == 1
-    assert "reseed=True" not in err
-    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out),
-               "--reseed"])
+    assert capsys.readouterr().err == "error: chunk 1 (rows 101-200): synthetic divergence\n"
+
+    def from_identity(a, xhat, **controls):
+        # the identity: a false fixed point of this covariance
+        return refine_to_convergence(a, np.eye(len(xhat)), **controls)
+
+    monkeypatch.setattr("streampca.ipca.refine_to_convergence", from_identity)
+    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
     assert rc == 0
     sidecar = json.loads((tmp_path / "z.json").read_text())
-    assert sidecar["diagnostics"]["reseeded_chunks"] == [1, 2]
+    assert sidecar["diagnostics"]["fallback_chunks"] == [1, 2]
+    assert_chunk_eigenvalues_exact(inp, sidecar, 1e-12)
 
 
 @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "0"]], ids=["tol", "max-iter"])

@@ -44,32 +44,33 @@ PARSE_CASES = [
     (
         ["ipca", "d.csv", "--chunk-spec", "chunk=250", "--output", "z.csv"],
         {"command": "ipca", "input": "d.csv", "chunk_spec": "chunk=250", "output": "z.csv",
-         "reseed": False, "tol": 1e-6, "max_iter": None},
+         "tol": 1e-6, "max_iter": None},
     ),
     (
         ["ipca", "in.csv", "--chunk-spec", "by=year", "--output", "z.csv"],
         {"command": "ipca", "input": "in.csv", "chunk_spec": "by=year", "output": "z.csv",
-         "reseed": False, "tol": 1e-6, "max_iter": None},
+         "tol": 1e-6, "max_iter": None},
     ),
     (
-        ["ipca", "in.csv", "--chunk-spec", "chunk=100", "--output", "z.csv", "--reseed"],
-        {"command": "ipca", "input": "in.csv", "chunk_spec": "chunk=100", "output": "z.csv",
-         "reseed": True, "tol": 1e-6, "max_iter": None},
+        ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8", "--max-iter", "30",
+         "--output", "z.csv"],
+        {"command": "ipca", "input": "regime.csv", "chunk_spec": "chunk=401", "output": "z.csv",
+         "tol": 1e-8, "max_iter": 30},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "0.9305", "--output", "z.csv"],
-        {"command": "ewmpca", "input": "in.csv", "alpha": "0.9305", "warmup": 100,
+        {"command": "ewmpca", "input": "in.csv", "alpha": "0.9305",
          "tol": 1e-6, "max_iter": None, "grid": None, "burn_in": None, "output": "z.csv"},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "ml", "--grid", "0.9:0.98:0.04", "--output", "z.csv"],
-        {"command": "ewmpca", "input": "in.csv", "alpha": "ml", "warmup": 100,
+        {"command": "ewmpca", "input": "in.csv", "alpha": "ml",
          "tol": 1e-6, "max_iter": None, "grid": "0.9:0.98:0.04", "burn_in": None,
          "output": "z.csv"},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "maximum", "--output", "z.csv"],
-        {"command": "ewmpca", "input": "in.csv", "alpha": "maximum", "warmup": 100,
+        {"command": "ewmpca", "input": "in.csv", "alpha": "maximum",
          "tol": 1e-6, "max_iter": None, "grid": None, "burn_in": None, "output": "z.csv"},
     ),
     (
@@ -86,7 +87,7 @@ PARSE_CASES = [
     ),
     (
         ["compare", "in.csv", "--alpha", "0.97", "--output-prefix", "cmp_"],
-        {"command": "compare", "input": "in.csv", "alpha": "0.97", "warmup": 100,
+        {"command": "compare", "input": "in.csv", "alpha": "0.97",
          "tol": 1e-6, "max_iter": None, "grid": None, "burn_in": None,
          "output_prefix": "cmp_"},
     ),
@@ -120,8 +121,24 @@ def test_missing_required_flag_exits_2(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ipca", "in.csv", "--chunk-spec", "chunk=100", "--output", "z.csv", "--reseed"],
+        ["ewmpca", "in.csv", "--alpha", "0.97", "--output", "z.csv", "--warmup", "30"],
+        ["compare", "in.csv", "--alpha", "0.97", "--output-prefix", "cmp_", "--warmup", "30"],
+    ],
+    ids=["ipca-reseed", "ewmpca-warmup", "compare-warmup"],
+)
+def test_removed_flag_exits_2(argv):
+    # the refinement recovers by itself: no reseed and no warm-up cap to ask for
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+
+
 TOP_KEYS = ["command", "params", "alpha", "eigenvalues", "iterations", "diagnostics"]
-EWM_PARAMS = ["input", "alpha", "warmup", "tol", "max_iter", "grid", "burn_in"]
+EWM_PARAMS = ["input", "alpha", "tol", "max_iter", "grid", "burn_in"]
 ML_KEYS = ["argmax", "grid", "loglik", "burn_in"]
 
 
@@ -162,10 +179,10 @@ def test_ipca_sidecar_keys(tmp_path, table):
     assert main(["ipca", table, "--chunk-spec", "chunk=100", "--output", str(out)]) == 0
     sidecar = read_sidecar(tmp_path / "z.json")
     assert list(sidecar) == TOP_KEYS
-    assert sidecar["params"] == {"input": table, "chunk_spec": "chunk=100", "reseed": False,
+    assert sidecar["params"] == {"input": table, "chunk_spec": "chunk=100",
                                  "tol": 1e-6, "max_iter": None}
-    assert list(sidecar["params"]) == ["input", "chunk_spec", "reseed", "tol", "max_iter"]
-    assert list(sidecar["diagnostics"]) == ["chunk_bounds", "sign_continuity", "reseeded_chunks"]
+    assert list(sidecar["params"]) == ["input", "chunk_spec", "tol", "max_iter"]
+    assert list(sidecar["diagnostics"]) == ["chunk_bounds", "sign_continuity", "fallback_chunks"]
 
 
 def test_ewmpca_sidecar_keys(tmp_path, table):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from streampca import refine
+from streampca import ewmpca, refine
 from streampca.ewmpca import DEFAULT_SEED_ROWS, EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
 from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
+
+from conftest import record_refinements, worst_relative_residual
 
 
 def seeded_stream(n, p, seed=3, ratio=3.0):
@@ -56,12 +58,16 @@ def test_default_seed_head_is_100_rows():
     assert np.array_equal(z_auto, z_explicit)
 
 
-def test_wide_input_seeds_from_p_plus_one_rows():
-    # At p >= DEFAULT_SEED_ROWS the first 100 rows are too few to seed from;
-    # the identity they left in place is an exact false fixed point.
+def test_wide_input_seeds_from_p_plus_one_rows(monkeypatch):
+    # At p >= DEFAULT_SEED_ROWS the first 100 rows are too few to seed from:
+    # the seed takes p + 1 rows.
     x = stationary_gaussian(102, 100, seed=1)
+    calls = record_refinements(monkeypatch, ewmpca)
     auto = EwmPCA(0.97)
     z_auto = auto.add_all(x)
+    # hard data at p = 100: every row of a short stream is certified
+    assert len(calls) == 101
+    assert worst_relative_residual(calls) <= 1e-10
     explicit = EwmPCA(0.97, initial_basis=seed_initial_basis(x[:101]))
     z_explicit = np.array([explicit.add(row) for row in x])
     assert np.array_equal(z_auto, z_explicit)
@@ -265,14 +271,11 @@ def test_local_decorrelation_small_but_nonzero():
     assert off.max() > 0.0
 
 
-def test_warmup_cap_only_applies_without_user_cap():
+def test_user_cap_bounds_every_refinement():
     x = seeded_stream(150, 3, seed=13)
     capped = EwmPCA(0.95, max_iter_count=2)
     capped.add_all(x)
     assert max(capped.iteration_counts) <= 2
-    default = EwmPCA(0.95)
-    default.add_all(x)
-    assert max(default.iteration_counts[: DEFAULT_SEED_ROWS - 1]) <= 20
 
 
 def test_truncation_count_counts_capped_rows(monkeypatch):
@@ -280,9 +283,30 @@ def test_truncation_count_counts_capped_rows(monkeypatch):
     default = EwmPCA(0.95)
     default.add_all(x)
     assert default.truncation_count == 0
-    # warmup_rows=1 leaves every refinement under the default cap
     monkeypatch.setattr(refine, "MAX_ITER", 1)
-    capped = EwmPCA(0.95, warmup_rows=1)
+    capped = EwmPCA(0.95)
     capped.add_all(x)
     assert capped.iteration_counts == [1] * 149
     assert capped.truncation_count == 149
+    # a truncated stop is reported, not certified: no rotation
+    assert capped.fallback_count == 0
+
+
+def test_pure_online_mode_converges_from_the_identity():
+    # the identity is a false fixed point of this covariance: only the
+    # certificate's rotation moves it
+    x = stationary_gaussian(3000, 9, seed=1)
+    model = EwmPCA(0.97)
+    for row in x:
+        model.add(row)
+    s, w = model.state.cov, model.basis
+    assert frobenius_norm(s @ w - w * model.eigenvalues()) <= 1e-10 * frobenius_norm(s)
+    assert model.truncation_count == 0
+    assert 0 < model.fallback_count < 100
+
+
+def test_fallback_count_counts_rotated_rows(monkeypatch):
+    calls = record_refinements(monkeypatch, ewmpca)
+    model = EwmPCA(0.97)
+    model.add_all(seeded_stream(150, 4, seed=14))
+    assert model.fallback_count == sum(diag.fallback for _, _, diag in calls) > 0

@@ -3,8 +3,10 @@ import pytest
 
 from streampca.ipca import IteratedPCA
 from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
-from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
+from streampca.refine import RecoveryError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
+
+from conftest import random_orthogonal
 
 
 def diag_4_1_rows():
@@ -164,7 +166,7 @@ def test_chunked_fit_transform_tracks_whole_sample_pca():
 
 
 # ---------------------------------------------------------------------------
-# errors / reseed
+# errors / recovery
 
 
 def test_fit_column_count_must_stay_fixed():
@@ -192,32 +194,39 @@ def test_refinement_controls_checked_when_built(controls):
     assert str(built.value) == str(kernel.value)
 
 
-def _corrupt_fitted_model(seed=12):
+def _stale_fitted_model(orthonormal, seed=12):
+    """A fitted model whose basis is the orthonormal factor of a Gaussian draw,
+    or 40 times the draw itself, and the next chunk, from the same draws."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((200, 4))
     model = IteratedPCA().fit(x)
-    # simulate a stale/garbage basis that sends refinement off the rails
-    model.components_ = 40.0 * rng.standard_normal((4, 4))
+    # a stale basis, or a garbage one that sends refinement off the rails
+    if orthonormal:
+        model.components_ = random_orthogonal(4, rng)
+    else:
+        model.components_ = 40.0 * rng.standard_normal((4, 4))
     return model, rng.standard_normal((200, 4))
 
 
-def test_divergence_error_advises_reseed():
-    model, x = _corrupt_fitted_model()
-    with pytest.raises(DivergenceError, match="reseed=True"):
+def test_wild_basis_raises_recovery_error():
+    model, x = _stale_fitted_model(orthonormal=False)
+    # the rotated basis is as far from orthonormal and diverges again
+    with pytest.raises(RecoveryError, match="^refinement diverging: .* a Jacobi rotation of S$"):
         model.fit(x)
     # failed fit leaves the model state untouched
     assert model.fit_count_ == 1
 
 
-def test_reseed_recovers_with_fresh_decomposition():
-    model, x = _corrupt_fitted_model()
-    model.fit(x, reseed=True)
+def test_stale_basis_recovers_by_one_rotation():
+    model, x = _stale_fitted_model(orthonormal=True)
+    model.fit(x)
     assert model.fit_count_ == 2
-    assert model.last_fit_diagnostics_ is None
+    assert model.last_fit_diagnostics_.fallback
     v = model.components_
     assert frobenius_norm(v.T @ v - np.eye(4)) <= 1e-12
     assert np.all(np.diff(model.explained_variance_) <= 0.0)
-    means, cov = sample_covariance(x)
-    oracle = jacobi_eigh(cov)
+    _, cov = sample_covariance(x)
+    residual = frobenius_norm(cov @ v - v * model.explained_variance_)
+    assert residual <= 1e-10 * frobenius_norm(cov)
     # same eigenvalues as a direct decomposition of this chunk
-    assert np.allclose(model.explained_variance_, oracle.values, atol=1e-12)
+    assert np.allclose(model.explained_variance_, jacobi_eigh(cov).values, atol=1e-12)

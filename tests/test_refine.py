@@ -11,8 +11,10 @@ from streampca.ewmstats import ewm_update
 from streampca.ipca import IteratedPCA
 from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
 from streampca.refine import (
+    CERT_RTOL,
     MAX_ITER,
     DivergenceError,
+    RecoveryError,
     estimate_eigenvalues,
     refine_step,
     refine_to_convergence,
@@ -305,8 +307,9 @@ def test_norm_of_a_is_taken_once_per_call(monkeypatch):
             patch.setattr(refine, "frobenius_norm", counting)
             out, diag = refine_to_convergence(a, x0)
         assert sum(seen) == 1
-        # per step: ||S - D||, ||R|| and the step norm
-        assert len(seen) == 1 + 3 * diag.iterations
+        assert not diag.fallback
+        # per step: ||S - D||, ||R|| and the step norm; then the certificate's ||S - D||
+        assert len(seen) == 2 + 3 * diag.iterations
         assert np.array_equal(out, expected)
 
 
@@ -374,3 +377,77 @@ def test_ewm_add_names_the_observation_whose_covariance_is_infinite():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"^observation 31: A contains non-finite entries$"):
             model.add(x[30])
+
+
+# ---------------------------------------------------------------------------
+# the certificate and its one Jacobi rotation
+
+
+def relative_residual(a, out, diag):
+    return frobenius_norm(a @ out - out * diag.eigenvalues) / frobenius_norm(a)
+
+
+def test_identity_false_fixed_point_is_rotated_and_certified():
+    a, values = well_separated_symmetric(6, seed=2)
+    # every pair of the identity takes the r_ij/2 branch: the first step is 0
+    assert np.array_equal(refine_step(a, np.eye(6)), np.eye(6))
+    out, diag = refine_to_convergence(a, np.eye(6))
+    assert diag.fallback and not diag.truncated
+    assert diag.step_norm_history[0] == 0.0
+    assert relative_residual(a, out, diag) <= CERT_RTOL
+    assert np.allclose(diag.eigenvalues, values, rtol=1e-12)
+
+
+def spy_on_steps(monkeypatch, blow_up_call=None):
+    """Record the iterate handed to every step; the step numbered
+    ``blow_up_call`` (from 1) returns 1e7 times its input instead."""
+    seen = []
+    step = refine._step
+
+    def spying(a, x, eye, norm_a):
+        seen.append(x.copy())
+        return 1e7 * x if len(seen) == blow_up_call else step(a, x, eye, norm_a)
+
+    monkeypatch.setattr(refine, "_step", spying)
+    return seen
+
+
+def test_failed_certificate_rotates_the_current_iterate(monkeypatch):
+    a, _ = well_separated_symmetric(6, seed=2)
+    x0 = np.eye(6)[:, [1, 0, 2, 3, 5, 4]]
+    seen = spy_on_steps(monkeypatch)
+    out, diag = refine_to_convergence(a, x0)
+    # the first step leaves the signed permutation put; the second starts
+    # from that iterate times the Jacobi eigenbasis of its S
+    stalled = refine_step(a, x0)
+    rotation = jacobi_eigh(stalled.T @ (a @ stalled)).vectors
+    assert diag.fallback and np.array_equal(seen[1], stalled @ rotation)
+    assert relative_residual(a, out, diag) <= CERT_RTOL
+
+
+def test_tripped_divergence_guard_rotates_the_incoming_basis(monkeypatch):
+    a, _ = well_separated_symmetric(6, seed=4)
+    x0 = jacobi_eigh(a).vectors + frobenius_perturbation((6, 6), 1e-2, 55)
+    seen = spy_on_steps(monkeypatch, blow_up_call=2)
+    out, diag = refine_to_convergence(a, x0)
+    assert diag.fallback
+    assert diag.step_norm_history[1] > refine.DIVERGENCE_FACTOR * diag.step_norm_history[0]
+    assert np.array_equal(seen[2], x0 @ jacobi_eigh(x0.T @ (a @ x0)).vectors)
+    assert relative_residual(a, out, diag) <= CERT_RTOL
+
+
+def test_second_failure_raises_recovery_error(monkeypatch):
+    a, _ = well_separated_symmetric(6, seed=2)
+    # no basis of a non-diagonal A passes a certificate of 0
+    monkeypatch.setattr(refine, "CERT_RTOL", 0.0)
+    with pytest.raises(RecoveryError, match="^uncertified stop: .* a Jacobi rotation of S$") as err:
+        refine_to_convergence(a, np.eye(6))
+    assert isinstance(err.value, DivergenceError)
+
+
+def test_truncated_stop_is_not_certified():
+    a, _ = well_separated_symmetric(6, seed=2)
+    out, diag = refine_to_convergence(a, np.eye(6), max_iter_count=1)
+    assert diag.truncated and not diag.fallback
+    # the identity, unmoved, with its columns sorted by the diagonal of A
+    assert np.array_equal(out, np.eye(6)[:, np.argsort(-np.diag(a), kind="stable")])

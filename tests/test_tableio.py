@@ -97,6 +97,28 @@ def test_unparseable_cell_names_line(tmp_path):
         assert str(err.value) == f"{path}, {message}"
 
 
+def test_errors_name_the_physical_line_after_a_quoted_line_break(tmp_path):
+    # the record on lines 2-3 is one row: csv's record count is one line short
+    path = tmp_path / "bad.csv"
+    path.write_text('timestamp,a\n"two\nlines",1\n2021-01-04,x\n')
+    with pytest.raises(ValueError) as err:
+        read_table(path)
+    assert str(err.value) == f"{path}, line 4: could not parse 'x' in column 'a' as a number"
+    path.write_text('timestamp,a\n"two\nlines",1\n2021-01-04\n')
+    with pytest.raises(ValueError, match="line 4: expected 2 fields, got 1"):
+        read_table(path)
+
+
+def test_row_reader_keeps_each_rows_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('timestamp,a\n"two\nlines",1\n\n2021-01-04,2\n')
+    table = read_table(path)
+    assert [table.line_of(i) for i in range(table.n_rows)] == [3, 5]
+    # a plain table has row i on line i + 2
+    path.write_text("a\n1\n2\n")
+    assert tableio._read_plain(path).line_of(1) == 3
+
+
 def test_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0\n")
