@@ -44,24 +44,18 @@ ML_GRID = ["--grid", "0.9:0.99:0.01"]
 COMMANDS = [
     ("ipca-chunk200", ["ipca", "gauss.csv", "--chunk-spec", "chunk=200"]),
     ("ipca-by-day", ["ipca", "stamped.csv", "--chunk-spec", "by=day"]),
-    ("ipca-regime-tol", ["ipca", "regime.csv", "--chunk-spec", "chunk=401",
-                         "--tol", "1e-8", "--max-iter", "30"]),
+    ("ipca-regime-tol", ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8"]),
     ("ipca-chunk100", ["ipca", "regime.csv", "--chunk-spec", "chunk=100"]),
-    ("ipca-max-iter", ["ipca", "vc.csv", "--chunk-spec", "chunk=100", "--max-iter", "2"]),
-    ("ipca-regime-max-iter", ["ipca", "regime.csv", "--chunk-spec", "chunk=100",
-                              "--max-iter", "2"]),
     # chunks 3 and 4 straddle the switch and take the kernel's Jacobi rotation
-    ("ipca-regime9-tol", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401",
-                          "--tol", "1e-8", "--max-iter", "30"]),
+    ("ipca-regime9-tol", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8"]),
     ("ewmpca-numeric", ["ewmpca", "gauss.csv", "--alpha", "0.97"]),
-    ("ewmpca-numeric-controls", ["ewmpca", "regime.csv", "--alpha", "0.95", "--tol", "1e-9",
-                                 "--max-iter", "5"]),
+    ("ewmpca-numeric-controls", ["ewmpca", "regime.csv", "--alpha", "0.95", "--tol", "1e-9"]),
     ("ewmpca-ml", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID]),
     ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50"]),
     ("estimate-alpha-default", ["estimate-alpha", "vc.csv"]),
     ("estimate-alpha-grid", ["estimate-alpha", "regime.csv", "--grid", "0.85:0.97:0.02",
                              "--burn-in", "21"]),
-    ("compare-numeric", ["compare", "gauss.csv", "--alpha", "0.97", "--max-iter", "50"]),
+    ("compare-numeric", ["compare", "gauss.csv", "--alpha", "0.97"]),
     ("compare-ml", ["compare", "vc.csv", "--alpha", "ml", *ML_GRID]),
     # tables that take the row reader
     ("ipca-quoted-stamps", ["ipca", "quoted.csv", "--chunk-spec", "by=day"]),
@@ -79,7 +73,7 @@ COMMANDS = [
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
     ("error-ewmpca-ml-bad-tol", ["ewmpca", "vc.csv", "--alpha", "ml", "--tol", "-1"]),
-    ("error-compare-ml-bad-max-iter", ["compare", "vc.csv", "--alpha", "ml", "--max-iter", "0"]),
+    ("error-estimate-alpha-inf-step", ["estimate-alpha", "vc.csv", "--grid", "0.5:0.9:inf"]),
     ("error-estimate-alpha-short", ["estimate-alpha", "short.csv"]),
     ("error-ewmpca-ml-short", ["ewmpca", "short.csv", "--alpha", "ml"]),
     ("error-estimate-alpha-singular", ["estimate-alpha", "rank_one.csv", *ML_GRID,

@@ -131,7 +131,7 @@ def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> d
 
 
 def ewm_replay():
-    """(covariances, starting basis, tol, cap) of the ewm-online timed rows."""
+    """(covariances, starting basis, tol) of the ewm-online timed rows."""
     w = workloads
     x = w.geometric_gaussian(
         np.random.default_rng(w.EWM_STREAM_SEED), w.EWM_WARMUP_ROWS + w.EWM_ROWS, w.EWM_P
@@ -143,23 +143,21 @@ def ewm_replay():
     for row in x[w.EWM_WARMUP_ROWS :]:
         state = ewm_update(state, row)
         covs.append(state.cov)
-    return covs, model.basis, model.tol, model.max_iter_count
+    return covs, model.basis, model.tol
 
 
 def ipca_replay():
-    """(covariances, starting basis, tol, cap) of the ipca-csv warm fits."""
+    """(covariances, starting basis, tol) of the ipca-csv warm fits."""
     w = workloads
     days = w.IPCA_DAYS
     x = w.geometric_gaussian(np.random.default_rng(1), days * w.IPCA_ROWS_PER_DAY, w.IPCA_P)
     covs = [sample_covariance(day)[1] for day in np.split(x, days)]
-    return covs[1:], jacobi_eigh(covs[0]).vectors, DEFAULT_TOL, None
+    return covs[1:], jacobi_eigh(covs[0]).vectors, DEFAULT_TOL
 
 
-def refine_row(sides: dict, name: str, covs, start, tol, cap, repeats: int) -> dict:
+def refine_row(sides: dict, name: str, covs, start, tol, repeats: int) -> dict:
     calls = [
-        lambda package, previous, a=a: package.refine.refine_to_convergence(
-            a, previous[0], tol, cap
-        )
+        lambda package, previous, a=a: package.refine.refine_to_convergence(a, previous[0], tol)
         for a in covs
     ]
     seconds, out = interleave(sides, calls, (start, None), repeats)

@@ -26,7 +26,7 @@ from .ewmpca import EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
-from .refine import DEFAULT_TOL, DivergenceError, _check_controls
+from .refine import DEFAULT_TOL, DivergenceError, _check_tol
 from .tableio import (
     ObservationTable,
     format_float,
@@ -153,7 +153,7 @@ def cmd_ipca(args) -> None:
     if args.chunk_spec.startswith("chunk=") and len(bounds) > 1 and n - last_lo == 1:
         # A 1-row remainder has no sample covariance: it joins the chunk before it.
         bounds[-2:] = [(bounds[-2][0], n)]
-    model = IteratedPCA(tol=args.tol, max_iter_count=args.max_iter)
+    model = IteratedPCA(tol=args.tol)
     pieces: list[np.ndarray] = []
     eigenvalues: list[list[float]] = []
     iterations: list[int | None] = []
@@ -185,7 +185,7 @@ def cmd_ipca(args) -> None:
     _write_sidecar(
         _sidecar_path(args.output),
         "ipca",
-        _pick(args, "input", "chunk_spec", "tol", "max_iter"),
+        _pick(args, "input", "chunk_spec", "tol"),
         eigenvalues=eigenvalues,
         iterations=iterations,
         diagnostics={
@@ -222,8 +222,8 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, i
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
     """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA over
     every row: (alpha, ML record or None, model, component series).  The
-    refinement controls are checked first, before the ML fit scores any row."""
-    _check_controls(args.tol, args.max_iter)
+    tolerance is checked first, before the ML fit scores any row."""
+    _check_tol(args.tol)
     if args.alpha == "ml":
         grid, alpha, curve, burn_in = _fit_alpha(args, data)
         ml = {
@@ -240,12 +240,12 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
         ml = None
-    model = EwmPCA(alpha, tol=args.tol, max_iter_count=args.max_iter)
+    model = EwmPCA(alpha, tol=args.tol)
     return alpha, ml, model, model.add_all(data)
 
 
 # sidecar params of the two commands that run EwmPCA
-_EWM_PARAMS = ("input", "alpha", "tol", "max_iter", "grid", "burn_in")
+_EWM_PARAMS = ("input", "alpha", "tol", "grid", "burn_in")
 
 
 def cmd_ewmpca(args) -> None:
@@ -273,6 +273,8 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be 'start:stop:step', got {spec!r}")
     start, stop, step = (float(s) for s in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"grid spec {spec!r} has a non-finite start, stop or step")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -356,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("input", help="CSV observation table")
     refinement = argparse.ArgumentParser(add_help=False)
     refinement.add_argument("--tol", type=float, default=DEFAULT_TOL, help="refinement tolerance")
-    refinement.add_argument("--max-iter", type=int, help="refinement iteration cap")
     likelihood = argparse.ArgumentParser(add_help=False)
     likelihood.add_argument(
         "--grid", help="decay grid 'start:stop:step' of the ML fit (default 0.5:0.999:0.001)"

@@ -25,14 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
-from .linalg import (
-    as_matrix,
-    as_vector,
-    frobenius_norm,
-    jacobi_eigh,
-    sample_covariance,
-)
-from .refine import DEFAULT_TOL, DivergenceError, _check_controls, refine_to_convergence
+from .linalg import as_matrix, frobenius_norm, jacobi_eigh, sample_covariance
+from .refine import DEFAULT_TOL, DivergenceError, _check_tol, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
@@ -65,14 +59,14 @@ class EwmPCA:
     initial_basis : optional (p, p) near-orthonormal starting basis; when
         omitted, batch mode seeds from the leading rows and pure online mode
         starts from the identity
-    tol, max_iter_count : refinement controls per observation, checked here
+    tol : step-norm tolerance of each observation's refinement, checked here
 
     Attributes
     ----------
     iteration_counts : refinement steps taken for each observation after
         the first
-    truncation_count : observations whose refinement stopped at its step
-        cap (see :func:`streampca.refine.refine_to_convergence`)
+    truncation_count : observations whose refinement stopped, certified, at
+        its fixed step cap (see :func:`streampca.refine.refine_to_convergence`)
     fallback_count : observations whose refinement took its Jacobi rotation
     """
 
@@ -81,12 +75,10 @@ class EwmPCA:
         alpha: float,
         initial_basis=None,
         tol: float = DEFAULT_TOL,
-        max_iter_count: int | None = None,
     ):
         self.alpha = _check_alpha(alpha)
-        _check_controls(tol, max_iter_count)
+        _check_tol(tol)
         self.tol = tol
-        self.max_iter_count = max_iter_count
         self._basis: np.ndarray | None = None
         if initial_basis is not None:
             basis = as_matrix(initial_basis, "initial_basis")
@@ -130,27 +122,27 @@ class EwmPCA:
         The first observation initializes the moving moments and returns a
         zero vector (there is no covariance to project against yet).
         """
-        x = as_vector(x, "x")
-        if self._ewm is None:
-            p = x.shape[0]
-            if self._basis is None:
-                # No information yet: the identity is the canonical
-                # orthonormal guess for pure online streams.
-                self._basis = np.eye(p)
-            elif self._basis.shape[0] != p:
-                raise ValueError(
-                    f"observation has dimension {p}, basis has {self._basis.shape[0]}"
-                )
-            self._ewm = ewm_init(x, self.alpha)
-            return np.zeros(p)
-        state = ewm_update(self._ewm, x)
-        centered = x - state.mean
+        count = self.observation_count + 1
+        # ewm_init and ewm_update check x; every error names the observation
         try:
-            basis, diagnostics = refine_to_convergence(
-                state.cov, self._basis, tol=self.tol, max_iter_count=self.max_iter_count
-            )
+            if self._ewm is None:
+                state = ewm_init(x, self.alpha)
+                p = state.mean.shape[0]
+                if self._basis is None:
+                    # No information yet: the identity is the canonical
+                    # orthonormal guess for pure online streams.
+                    self._basis = np.eye(p)
+                elif self._basis.shape[0] != p:
+                    raise ValueError(
+                        f"observation has dimension {p}, basis has {self._basis.shape[0]}"
+                    )
+                self._ewm = state
+                return np.zeros(p)
+            state = ewm_update(self._ewm, x)
+            basis, diagnostics = refine_to_convergence(state.cov, self._basis, tol=self.tol)
         except (ValueError, OverflowError, DivergenceError) as err:
-            raise type(err)(f"observation {state.count}: {err}") from err
+            raise type(err)(f"observation {count}: {err}") from err
+        centered = x - state.mean
         self._ewm = state
         self._basis = basis
         self._eigenvalues = diagnostics.eigenvalues

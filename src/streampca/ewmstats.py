@@ -347,7 +347,7 @@ def estimate_alpha(
     grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1:
         raise ValueError("grid must be a non-empty 1-d array of decay values")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails both tests
         raise ValueError("grid values must lie strictly between 0 and 1")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be sorted in ascending order")

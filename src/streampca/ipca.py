@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, jacobi_eigh, sample_covariance
-from .refine import DEFAULT_TOL, RefineDiagnostics, _check_controls, refine_to_convergence
+from .refine import DEFAULT_TOL, RefineDiagnostics, _check_tol, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
 
@@ -23,10 +23,11 @@ class IteratedPCA:
 
     Parameters
     ----------
-    tol, max_iter_count:
-        Convergence controls handed to the eigenbasis refinement on warm
-        starts (see :func:`streampca.refine.refine_to_convergence`); checked
-        here, so a bad value fails before the first fit.
+    tol:
+        Step-norm tolerance handed to the eigenbasis refinement on warm
+        starts (see :func:`streampca.refine.refine_to_convergence`, whose
+        every stop, at the tolerance or at its fixed step cap, is certified);
+        checked here, so a bad value fails before the first fit.
 
     Attributes (set by ``fit``)
     ---------------------------
@@ -38,10 +39,9 @@ class IteratedPCA:
         None when the last fit used the direct eigensolver
     """
 
-    def __init__(self, tol: float = DEFAULT_TOL, max_iter_count: int | None = None):
-        _check_controls(tol, max_iter_count)
+    def __init__(self, tol: float = DEFAULT_TOL):
+        _check_tol(tol)
         self.tol = tol
-        self.max_iter_count = max_iter_count
         self.means_: np.ndarray | None = None
         self.components_: np.ndarray | None = None
         self.explained_variance_: np.ndarray | None = None
@@ -52,12 +52,10 @@ class IteratedPCA:
     def fitted(self) -> bool:
         return self.fit_count_ > 0
 
-    def _check_columns(self, x: np.ndarray) -> None:
+    def _check_columns(self, cols: int) -> None:
         p = self.components_.shape[0]
-        if x.shape[1] != p:
-            raise ValueError(
-                f"X has {x.shape[1]} columns but the model was fitted with {p}"
-            )
+        if cols != p:
+            raise ValueError(f"X has {cols} columns but the model was fitted with {p}")
 
     def fit(self, x) -> "IteratedPCA":
         """Fit on one chunk of observations (rows).
@@ -66,18 +64,15 @@ class IteratedPCA:
         covariance; a failed refinement raises RecoveryError and leaves the
         model as it was.
         """
-        x = as_matrix(x, "X")
-        if self.fitted:
-            self._check_columns(x)
         means, cov = sample_covariance(x)
+        if self.fitted:
+            self._check_columns(means.shape[0])
         diagnostics: RefineDiagnostics | None = None
         if not self.fitted:
             basis = jacobi_eigh(cov)
             vectors, values = basis.vectors, basis.values
         else:
-            vectors, diagnostics = refine_to_convergence(
-                cov, self.components_, tol=self.tol, max_iter_count=self.max_iter_count
-            )
+            vectors, diagnostics = refine_to_convergence(cov, self.components_, tol=self.tol)
             values = diagnostics.eigenvalues
         self.means_ = means
         self.components_ = vectors
@@ -91,7 +86,7 @@ class IteratedPCA:
         if not self.fitted:
             raise RuntimeError("IteratedPCA.transform called before any fit")
         x = as_matrix(x, "X")
-        self._check_columns(x)
+        self._check_columns(x.shape[1])
         return (x - self.means_) @ self.components_
 
     def fit_transform(self, x) -> np.ndarray:

@@ -63,12 +63,14 @@ DEFAULT_TOL = 1e-6
 # covariance fed with a stale basis).
 DIVERGENCE_FACTOR = 1e6
 
-# Step cap used when the caller sets none.  Step norms that stay bounded
-# without contracting would otherwise neither converge nor trip the
-# divergence guard; hitting the cap is reported as ``truncated=True``.
+# Step cap of each pass, before and after the one Jacobi rotation, so a call
+# takes at most 2 x MAX_ITER steps.  Step norms that stay bounded without
+# contracting would otherwise neither converge nor trip the divergence guard;
+# a stop at the cap passes the same certificate as a tolerance stop and is
+# reported as ``truncated=True``.
 MAX_ITER = 100
 
-# A tolerance stop is certified when ||S - D|| <= CERT_RTOL ||A||.
+# A stop is certified when ||S - D|| <= CERT_RTOL ||A||.
 CERT_RTOL = 1e-10
 
 
@@ -85,10 +87,10 @@ class RefineDiagnostics:
     """Per-call convergence record.
 
     ``step_norm_history`` holds the norm of every update in order;
-    ``truncated`` means the iteration cap stopped the loop (the tolerance may
-    not have been reached), ``fallback`` that S's Jacobi eigenbasis rotated
-    the basis.  ``eigenvalues`` holds the estimates of the returned basis, in
-    its column order.
+    ``truncated`` means a pass stopped at its MAX_ITER step cap, certified
+    but perhaps short of the tolerance, ``fallback`` that S's Jacobi
+    eigenbasis rotated the basis.  ``eigenvalues`` holds the estimates of the
+    returned basis, in its column order.
     """
 
     iterations: int
@@ -98,13 +100,10 @@ class RefineDiagnostics:
     eigenvalues: np.ndarray = field(compare=False)
 
 
-def _check_controls(tol: float, max_iter_count: int | None) -> None:
-    """Reject a tolerance that is not positive (NaN included) and a cap below
-    one step."""
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive, NaN included."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter_count is not None and max_iter_count < 1:
-        raise ValueError(f"max_iter_count must be >= 1, got {max_iter_count}")
 
 
 def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -194,31 +193,31 @@ def refine_step(a, xhat) -> np.ndarray:
 
 
 def refine_to_convergence(
-    a, xhat, tol: float = DEFAULT_TOL, max_iter_count: int | None = None
+    a, xhat, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, RefineDiagnostics]:
     """Repeat refinement steps until the update norm drops below ``tol``.
 
-    Stops when ||X' - X|| < tol, or unconditionally once ``max_iter_count``
-    steps (MAX_ITER when None) have run in all; diagnostics then carry
-    ``truncated=True`` and the tolerance may not have been reached.  Either
-    way the freshly stepped matrix is returned, never the pre-step iterate,
-    with its columns sorted by descending eigenvalue estimate; the sorted
-    estimates come back as ``diagnostics.eigenvalues``.
+    Stops when ||X' - X|| < tol, or once a pass has run MAX_ITER steps
+    (diagnostics then carry ``truncated=True``).  Either stop must pass the
+    certificate ||S - D|| <= CERT_RTOL ||A||, so every returned basis is an
+    eigenbasis of A to that residual.  The freshly stepped matrix is
+    returned, never the pre-step iterate, with its columns sorted by
+    descending eigenvalue estimate; the sorted estimates come back as
+    ``diagnostics.eigenvalues``.
 
-    A tolerance stop must pass the certificate ||S - D|| <= CERT_RTOL ||A||.
     Once per call, a failed certificate rotates the iterate, and a step norm
     above DIVERGENCE_FACTOR times the first of its pass rotates the incoming
-    basis, by the Jacobi eigenbasis of S (``diagnostics.fallback``).  A second
-    failure raises RecoveryError, a DivergenceError.  Raises OverflowError
-    before the first step when ||A|| overflows float64, and ValueError when A
-    or Xhat has a non-finite entry.
+    basis, by the Jacobi eigenbasis of S (``diagnostics.fallback``); a second
+    pass of at most MAX_ITER steps follows.  A second failure raises
+    RecoveryError, a DivergenceError.  Raises OverflowError before the first
+    step when ||A|| overflows float64, and ValueError when A or Xhat has a
+    non-finite entry.
     """
-    _check_controls(tol, max_iter_count)
+    _check_tol(tol)
     # Xhat is checked here, before an infinite entry can reach a product; A
     # only once its norm comes out non-finite, so A costs the per-row path nothing.
     a, xhat = _check_pair(a, xhat, check_a=False)
     x = xhat
-    cap = MAX_ITER if max_iter_count is None else max_iter_count
     eye = np.eye(a.shape[0])
     with np.errstate(over="ignore"):
         norm_a = frobenius_norm(a)
@@ -235,12 +234,14 @@ def refine_to_convergence(
         new_x = _step(a, x, eye, norm_a)
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
-        if len(steps) == cap or eps < tol:
+        truncated = len(steps) - first == MAX_ITER
+        if truncated or eps < tol:
             lam, _, s_minus_d = _rayleigh(a, new_x, eye)
             off = frobenius_norm(s_minus_d)
-            if len(steps) == cap or off <= CERT_RTOL * norm_a:
+            if off <= CERT_RTOL * norm_a:
                 break
-            failure = f"uncertified stop: ||S - D|| = {off:.3e} > {CERT_RTOL:.0e} x ||A||"
+            failure = (f"uncertified stop{' at the step cap' if truncated else ''}: "
+                       f"||S - D|| = {off:.3e} > {CERT_RTOL:.0e} x ||A||")
             restart = new_x
         elif eps > DIVERGENCE_FACTOR * steps[first]:
             failure = (f"refinement diverging: step norm {eps:.3e} exceeds {DIVERGENCE_FACTOR:.0e}"
@@ -258,7 +259,7 @@ def refine_to_convergence(
     diagnostics = RefineDiagnostics(
         iterations=len(steps),
         step_norm_history=tuple(steps),
-        truncated=len(steps) == cap,
+        truncated=truncated,
         fallback=fallback,
         eigenvalues=lam[order],
     )

@@ -109,6 +109,19 @@ def test_add_rejects_non_finite():
         model.add([np.inf, 0.0])
 
 
+def test_add_names_the_non_finite_observation(monkeypatch):
+    calls = record_refinements(monkeypatch, ewmpca)
+    x = seeded_stream(10, 3, seed=4)
+    x[4, 1] = np.nan
+    model = EwmPCA(0.9)
+    for row in x[:4]:
+        model.add(row)
+    with pytest.raises(ValueError, match="^observation 5: x contains non-finite entries$"):
+        model.add(x[4])
+    # checked once, before the moments move or the kernel runs
+    assert model.observation_count == 4 and len(calls) == 3
+
+
 def test_alpha_validation():
     with pytest.raises(ValueError, match="alpha"):
         EwmPCA(1.0)
@@ -116,8 +129,8 @@ def test_alpha_validation():
 
 @pytest.mark.parametrize(
     "controls",
-    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter_count": 0}],
-    ids=["tol=-1", "tol=0", "tol=nan", "max_iter_count=0"],
+    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}],
+    ids=["tol=-1", "tol=0", "tol=nan"],
 )
 def test_refinement_controls_checked_when_built(controls):
     # the kernel's check and message, before any row instead of at the second
@@ -271,11 +284,13 @@ def test_local_decorrelation_small_but_nonzero():
     assert off.max() > 0.0
 
 
-def test_user_cap_bounds_every_refinement():
+def test_fixed_cap_bounds_every_refinement(monkeypatch):
     x = seeded_stream(150, 3, seed=13)
-    capped = EwmPCA(0.95, max_iter_count=2)
+    monkeypatch.setattr(refine, "MAX_ITER", 3)
+    capped = EwmPCA(0.95)
     capped.add_all(x)
-    assert max(capped.iteration_counts) <= 2
+    # one pass before the Jacobi rotation and one after it
+    assert max(capped.iteration_counts) == 2 * 3
 
 
 def test_truncation_count_counts_capped_rows(monkeypatch):
@@ -283,13 +298,16 @@ def test_truncation_count_counts_capped_rows(monkeypatch):
     default = EwmPCA(0.95)
     default.add_all(x)
     assert default.truncation_count == 0
-    monkeypatch.setattr(refine, "MAX_ITER", 1)
+    monkeypatch.setattr(refine, "MAX_ITER", 3)
+    calls = record_refinements(monkeypatch, ewmpca)
     capped = EwmPCA(0.95)
     capped.add_all(x)
-    assert capped.iteration_counts == [1] * 149
-    assert capped.truncation_count == 149
-    # a truncated stop is reported, not certified: no rotation
-    assert capped.fallback_count == 0
+    assert capped.truncation_count == sum(diag.truncated for _, _, diag in calls) == 105
+    # a capped stop is certified like a tolerance stop, by the rotation if need be
+    assert 0 < capped.fallback_count < capped.truncation_count
+    for a, v, diag in calls:
+        s = v.T @ a @ v
+        assert frobenius_norm(s - np.diag(np.diag(s))) <= 1e-10 * frobenius_norm(a)
 
 
 def test_pure_online_mode_converges_from_the_identity():

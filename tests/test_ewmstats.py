@@ -481,8 +481,10 @@ def test_heteroskedastic_argmax_interior_and_reproducible():
 def test_grid_validation():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((60, 1))
-    with pytest.raises(ValueError, match="between 0 and 1"):
-        estimate_alpha(x, [0.5, 1.5])
+    # NaN is out of range too, though it fails every comparison
+    for bad in ([0.5, 1.5], [0.0, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            estimate_alpha(x, bad)
     with pytest.raises(ValueError, match="ascending"):
         estimate_alpha(x, [0.9, 0.8])
     with pytest.raises(ValueError, match="non-empty"):

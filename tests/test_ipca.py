@@ -182,8 +182,8 @@ def test_fit_needs_two_rows():
 
 @pytest.mark.parametrize(
     "controls",
-    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter_count": 0}],
-    ids=["tol=-1", "tol=0", "tol=nan", "max_iter_count=0"],
+    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}],
+    ids=["tol=-1", "tol=0", "tol=nan"],
 )
 def test_refinement_controls_checked_when_built(controls):
     # the kernel's check and message, before any fit instead of at the second

@@ -160,14 +160,15 @@ def test_diagonal_converges_in_one_iteration():
     assert np.array_equal(diag.eigenvalues, [4.0, 1.0])
 
 
-def test_max_iter_one_takes_exactly_one_step():
+def test_cap_stop_is_certified():
+    # no step norm falls below 1e-300: the pass stops at the cap, certified
     a, _ = well_separated_symmetric(7, seed=3)
     oracle = jacobi_eigh(a)
     x0 = oracle.vectors + frobenius_perturbation((7, 7), 1e-2, 31)
-    out, diag = refine_to_convergence(a, x0, tol=1e-30, max_iter_count=1)
-    assert diag.iterations == 1
-    assert diag.truncated
-    assert np.array_equal(out, refine_step(a, x0))
+    out, diag = refine_to_convergence(a, x0, tol=1e-300)
+    assert diag.iterations == MAX_ITER
+    assert diag.truncated and not diag.fallback
+    assert relative_residual(a, out, diag) <= CERT_RTOL
 
 
 def test_converges_quadratically_to_tight_tolerance():
@@ -240,8 +241,9 @@ def test_divergence_guard_fires_on_wild_start():
 def test_invalid_tol_and_max_iter():
     with pytest.raises(ValueError, match="tol"):
         refine_to_convergence(np.eye(2), np.eye(2), tol=0.0)
-    with pytest.raises(ValueError, match="max_iter_count"):
-        refine_to_convergence(np.eye(2), np.eye(2), max_iter_count=0)
+    # the step cap is fixed: no caller sets it
+    with pytest.raises(TypeError, match="max_iter_count"):
+        refine_to_convergence(np.eye(2), np.eye(2), max_iter_count=1)
 
 
 def test_default_cap_reports_truncation(monkeypatch):
@@ -250,10 +252,15 @@ def test_default_cap_reports_truncation(monkeypatch):
     _, free = refine_to_convergence(a, x0, tol=1e-12)
     assert 2 < free.iterations < MAX_ITER and not free.truncated
     monkeypatch.setattr(refine, "MAX_ITER", 2)
+    seen = spy_on_steps(monkeypatch)
     out, diag = refine_to_convergence(a, x0, tol=1e-12)
-    assert diag.iterations == 2
-    assert diag.truncated
-    assert np.array_equal(out, refine_step(a, refine_step(a, x0)))
+    # the first pass stops at the cap short of the certificate: the one
+    # rotation, of that iterate, starts a second pass of 2 steps
+    assert diag.iterations == 4
+    assert diag.truncated and diag.fallback
+    stalled = refine_step(a, refine_step(a, x0))
+    assert np.array_equal(seen[2], stalled @ jacobi_eigh(stalled.T @ (a @ stalled)).vectors)
+    assert relative_residual(a, out, diag) <= CERT_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +452,26 @@ def test_second_failure_raises_recovery_error(monkeypatch):
     assert isinstance(err.value, DivergenceError)
 
 
-def test_truncated_stop_is_not_certified():
-    a, _ = well_separated_symmetric(6, seed=2)
-    out, diag = refine_to_convergence(a, np.eye(6), max_iter_count=1)
-    assert diag.truncated and not diag.fallback
-    # the identity, unmoved, with its columns sorted by the diagonal of A
-    assert np.array_equal(out, np.eye(6)[:, np.argsort(-np.diag(a), kind="stable")])
+def test_truncated_stop_is_certified(monkeypatch):
+    a, values = well_separated_symmetric(6, seed=2)
+    monkeypatch.setattr(refine, "MAX_ITER", 1)
+    out, diag = refine_to_convergence(a, np.eye(6))
+    # the identity's one step stops at the cap, uncertified, and is rotated;
+    # the rotated basis passes after its one step
+    assert diag.iterations == 2 and diag.truncated and diag.fallback
+    assert relative_residual(a, out, diag) <= CERT_RTOL
+    assert np.allclose(diag.eigenvalues, values, rtol=1e-12)
+
+
+def test_failed_cap_stops_rotate_once_then_raise(monkeypatch):
+    a, _ = well_separated_symmetric(7, seed=3)
+    x0 = jacobi_eigh(a).vectors + frobenius_perturbation((7, 7), 1e-2, 31)
+    monkeypatch.setattr(refine, "MAX_ITER", 5)
+    monkeypatch.setattr(refine, "CERT_RTOL", 0.0)
+    seen = spy_on_steps(monkeypatch)
+    with pytest.raises(RecoveryError, match="^uncertified stop at the step cap: .* of S$"):
+        refine_to_convergence(a, x0, tol=1e-300)
+    # two passes of MAX_ITER steps; the second starts from the rotated iterate
+    assert len(seen) == 2 * 5
+    stalled = refine_step(a, seen[4])
+    assert np.array_equal(seen[5], stalled @ jacobi_eigh(stalled.T @ (a @ stalled)).vectors)

@@ -46,6 +46,8 @@ def test_traced_spans_see_the_kernel(tmp_path):
     assert tracer.calls["ipca.fit"] == 3
     assert tracer.calls["tableio.read_table"] == 1
     assert tracer.counts["refine.iterations"] > 0
+    # read from RefineDiagnostics.truncated: no call here reaches the step cap
+    assert tracer.counts["refine.truncated"] == 0
     # uninstalled: further calls are no longer counted
     model.add(x[20])
     assert tracer.calls["ewmpca.add"] == 20
