@@ -44,12 +44,12 @@ ML_GRID = ["--grid", "0.9:0.99:0.01"]
 COMMANDS = [
     ("ipca-chunk200", ["ipca", "gauss.csv", "--chunk-spec", "chunk=200"]),
     ("ipca-by-day", ["ipca", "stamped.csv", "--chunk-spec", "by=day"]),
-    ("ipca-regime-tol", ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8"]),
+    ("ipca-regime", ["ipca", "regime.csv", "--chunk-spec", "chunk=401"]),
     ("ipca-chunk100", ["ipca", "regime.csv", "--chunk-spec", "chunk=100"]),
     # chunks 3 and 4 straddle the switch and take the kernel's Jacobi rotation
-    ("ipca-regime9-tol", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8"]),
+    ("ipca-regime9", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401"]),
     ("ewmpca-numeric", ["ewmpca", "gauss.csv", "--alpha", "0.97"]),
-    ("ewmpca-numeric-controls", ["ewmpca", "regime.csv", "--alpha", "0.95", "--tol", "1e-9"]),
+    ("ewmpca-regime", ["ewmpca", "regime.csv", "--alpha", "0.95"]),
     ("ewmpca-ml", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID]),
     ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50"]),
     ("estimate-alpha-default", ["estimate-alpha", "vc.csv"]),
@@ -72,7 +72,6 @@ COMMANDS = [
     ("error-compare-overflow-seed", ["compare", "overflow_head.csv", "--alpha", "0.97"]),
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
-    ("error-ewmpca-ml-bad-tol", ["ewmpca", "vc.csv", "--alpha", "ml", "--tol", "-1"]),
     ("error-estimate-alpha-inf-step", ["estimate-alpha", "vc.csv", "--grid", "0.5:0.9:inf"]),
     ("error-estimate-alpha-short", ["estimate-alpha", "short.csv"]),
     ("error-ewmpca-ml-short", ["ewmpca", "short.csv", "--alpha", "ml"]),

@@ -59,7 +59,6 @@ import workloads  # noqa: E402
 from streampca.ewmpca import EwmPCA, seed_initial_basis  # noqa: E402
 from streampca.ewmstats import ewm_update  # noqa: E402
 from streampca.linalg import jacobi_eigh, sample_covariance  # noqa: E402
-from streampca.refine import DEFAULT_TOL  # noqa: E402
 from streampca.synth import stationary_gaussian  # noqa: E402
 
 # jacobi_eigh calls per repeat: one call of 1-12 ms is too short for a
@@ -131,7 +130,7 @@ def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> d
 
 
 def ewm_replay():
-    """(covariances, starting basis, tol) of the ewm-online timed rows."""
+    """(covariances, starting basis) of the ewm-online timed rows."""
     w = workloads
     x = w.geometric_gaussian(
         np.random.default_rng(w.EWM_STREAM_SEED), w.EWM_WARMUP_ROWS + w.EWM_ROWS, w.EWM_P
@@ -143,21 +142,21 @@ def ewm_replay():
     for row in x[w.EWM_WARMUP_ROWS :]:
         state = ewm_update(state, row)
         covs.append(state.cov)
-    return covs, model.basis, model.tol
+    return covs, model.basis
 
 
 def ipca_replay():
-    """(covariances, starting basis, tol) of the ipca-csv warm fits."""
+    """(covariances, starting basis) of the ipca-csv warm fits."""
     w = workloads
     days = w.IPCA_DAYS
     x = w.geometric_gaussian(np.random.default_rng(1), days * w.IPCA_ROWS_PER_DAY, w.IPCA_P)
     covs = [sample_covariance(day)[1] for day in np.split(x, days)]
-    return covs[1:], jacobi_eigh(covs[0]).vectors, DEFAULT_TOL
+    return covs[1:], jacobi_eigh(covs[0]).vectors
 
 
-def refine_row(sides: dict, name: str, covs, start, tol, repeats: int) -> dict:
+def refine_row(sides: dict, name: str, covs, start, repeats: int) -> dict:
     calls = [
-        lambda package, previous, a=a: package.refine.refine_to_convergence(a, previous[0], tol)
+        lambda package, previous, a=a: package.refine.refine_to_convergence(a, previous[0])
         for a in covs
     ]
     seconds, out = interleave(sides, calls, (start, None), repeats)

@@ -26,7 +26,7 @@ from .ewmpca import EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
-from .refine import DEFAULT_TOL, DivergenceError, _check_tol
+from .refine import DivergenceError
 from .tableio import (
     ObservationTable,
     format_float,
@@ -153,7 +153,7 @@ def cmd_ipca(args) -> None:
     if args.chunk_spec.startswith("chunk=") and len(bounds) > 1 and n - last_lo == 1:
         # A 1-row remainder has no sample covariance: it joins the chunk before it.
         bounds[-2:] = [(bounds[-2][0], n)]
-    model = IteratedPCA(tol=args.tol)
+    model = IteratedPCA()
     pieces: list[np.ndarray] = []
     eigenvalues: list[list[float]] = []
     iterations: list[int | None] = []
@@ -185,7 +185,7 @@ def cmd_ipca(args) -> None:
     _write_sidecar(
         _sidecar_path(args.output),
         "ipca",
-        _pick(args, "input", "chunk_spec", "tol"),
+        _pick(args, "input", "chunk_spec"),
         eigenvalues=eigenvalues,
         iterations=iterations,
         diagnostics={
@@ -221,9 +221,7 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, i
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
     """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA over
-    every row: (alpha, ML record or None, model, component series).  The
-    tolerance is checked first, before the ML fit scores any row."""
-    _check_tol(args.tol)
+    every row: (alpha, ML record or None, model, component series)."""
     if args.alpha == "ml":
         grid, alpha, curve, burn_in = _fit_alpha(args, data)
         ml = {
@@ -240,12 +238,12 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
         ml = None
-    model = EwmPCA(alpha, tol=args.tol)
+    model = EwmPCA(alpha)
     return alpha, ml, model, model.add_all(data)
 
 
 # sidecar params of the two commands that run EwmPCA
-_EWM_PARAMS = ("input", "alpha", "tol", "grid", "burn_in")
+_EWM_PARAMS = ("input", "alpha", "grid", "burn_in")
 
 
 def cmd_ewmpca(args) -> None:
@@ -356,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     # flags shared by several commands, each declared once
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("input", help="CSV observation table")
-    refinement = argparse.ArgumentParser(add_help=False)
-    refinement.add_argument("--tol", type=float, default=DEFAULT_TOL, help="refinement tolerance")
     likelihood = argparse.ArgumentParser(add_help=False)
     likelihood.add_argument(
         "--grid", help="decay grid 'start:stop:step' of the ML fit (default 0.5:0.999:0.001)"
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ipca",
-        parents=[source, refinement],
+        parents=[source],
         help="chunked warm-started PCA over an observation table",
     )
     p.add_argument(
@@ -416,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ewmpca",
-        parents=[source, decay, refinement, likelihood],
+        parents=[source, decay, likelihood],
         help="exponentially weighted moving PCA",
     )
     p.add_argument("--output", required=True, help="component series CSV to write")
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compare",
-        parents=[source, decay, refinement, likelihood],
+        parents=[source, decay, likelihood],
         help="cross-covariance/correlation between classical PCA and moving PCA components",
     )
     p.add_argument(

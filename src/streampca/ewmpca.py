@@ -26,7 +26,7 @@ import numpy as np
 
 from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
 from .linalg import as_matrix, frobenius_norm, jacobi_eigh, sample_covariance
-from .refine import DEFAULT_TOL, DivergenceError, _check_tol, refine_to_convergence
+from .refine import DivergenceError, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
@@ -59,7 +59,9 @@ class EwmPCA:
     initial_basis : optional (p, p) near-orthonormal starting basis; when
         omitted, batch mode seeds from the leading rows and pure online mode
         starts from the identity
-    tol : step-norm tolerance of each observation's refinement, checked here
+
+    Each observation's refinement stops by the kernel's fixed rule
+    (:func:`streampca.refine.refine_to_convergence`); no caller sets it.
 
     Attributes
     ----------
@@ -70,15 +72,8 @@ class EwmPCA:
     fallback_count : observations whose refinement took its Jacobi rotation
     """
 
-    def __init__(
-        self,
-        alpha: float,
-        initial_basis=None,
-        tol: float = DEFAULT_TOL,
-    ):
+    def __init__(self, alpha: float, initial_basis=None):
         self.alpha = _check_alpha(alpha)
-        _check_tol(tol)
-        self.tol = tol
         self._basis: np.ndarray | None = None
         if initial_basis is not None:
             basis = as_matrix(initial_basis, "initial_basis")
@@ -139,7 +134,7 @@ class EwmPCA:
                 self._ewm = state
                 return np.zeros(p)
             state = ewm_update(self._ewm, x)
-            basis, diagnostics = refine_to_convergence(state.cov, self._basis, tol=self.tol)
+            basis, diagnostics = refine_to_convergence(state.cov, self._basis)
         except (ValueError, OverflowError, DivergenceError) as err:
             raise type(err)(f"observation {count}: {err}") from err
         centered = x - state.mean
@@ -155,13 +150,16 @@ class EwmPCA:
         """Fold ``add`` over the rows of ``x``; returns the (n, p) component series.
 
         Equivalent to calling ``add`` row by row on the same state.  An empty
-        input returns an empty series and leaves the state untouched.
+        input returns an empty series and leaves the state untouched, and so
+        does a non-finite entry, whose ValueError names its observation.
         """
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValueError(f"X must be 2-d with at least one column, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("X contains non-finite entries")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = self.observation_count + 1 + int(finite.all(axis=1).argmin())
+            raise ValueError(f"observation {bad}: x contains non-finite entries")
         n, p = arr.shape
         if n > 0 and self._ewm is None and self._basis is None:
             # p + 1 rows at least: fewer cannot seed at p >= DEFAULT_SEED_ROWS.

@@ -123,7 +123,7 @@ def _check_alpha(alpha: float) -> float:
 def ewm_init(x1, alpha: float) -> EwmState:
     """State after the first observation: mean = x1, covariance = 0."""
     alpha = _check_alpha(alpha)
-    x = as_vector(x1, "x1")
+    x = as_vector(x1, "x")  # named as ewm_update names every later row
     p = x.shape[0]
     return EwmState(alpha=alpha, mean=x.copy(), cov=np.zeros((p, p)), count=1)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, jacobi_eigh, sample_covariance
-from .refine import DEFAULT_TOL, RefineDiagnostics, _check_tol, refine_to_convergence
+from .refine import RefineDiagnostics, refine_to_convergence
 
 __all__ = ["IteratedPCA"]
 
@@ -21,13 +21,9 @@ __all__ = ["IteratedPCA"]
 class IteratedPCA:
     """Refittable full-basis PCA.
 
-    Parameters
-    ----------
-    tol:
-        Step-norm tolerance handed to the eigenbasis refinement on warm
-        starts (see :func:`streampca.refine.refine_to_convergence`, whose
-        every stop, at the tolerance or at its fixed step cap, is certified);
-        checked here, so a bad value fails before the first fit.
+    Warm starts refine the previous eigenbasis by
+    :func:`streampca.refine.refine_to_convergence`, whose every stop is
+    certified; its stop rule is fixed, so the model takes no parameter.
 
     Attributes (set by ``fit``)
     ---------------------------
@@ -39,9 +35,7 @@ class IteratedPCA:
         None when the last fit used the direct eigensolver
     """
 
-    def __init__(self, tol: float = DEFAULT_TOL):
-        _check_tol(tol)
-        self.tol = tol
+    def __init__(self):
         self.means_: np.ndarray | None = None
         self.components_: np.ndarray | None = None
         self.explained_variance_: np.ndarray | None = None
@@ -72,7 +66,7 @@ class IteratedPCA:
             basis = jacobi_eigh(cov)
             vectors, values = basis.vectors, basis.values
         else:
-            vectors, diagnostics = refine_to_convergence(cov, self.components_, tol=self.tol)
+            vectors, diagnostics = refine_to_convergence(cov, self.components_)
             values = diagnostics.eigenvalues
         self.means_ = means
         self.components_ = vectors

@@ -46,17 +46,20 @@ from .linalg import frobenius_norm, jacobi_eigh
 
 __all__ = [
     "CERT_RTOL",
-    "DEFAULT_TOL",
     "DivergenceError",
     "RecoveryError",
     "RefineDiagnostics",
+    "TOL",
     "estimate_eigenvalues",
     "refine_step",
     "refine_to_convergence",
 ]
 
-# Step-norm tolerance of the kernel, IteratedPCA, EwmPCA and --tol by default.
-DEFAULT_TOL = 1e-6
+# A pass stops once a step norm ||X' - X|| falls below TOL.  Every stop is
+# then certified, so TOL sets what a call costs, not what it returns: a
+# tighter TOL takes more steps, a looser one stops short of the certificate
+# and takes the Jacobi rotation, or fails.
+TOL = 1e-6
 
 # Step norms growing past this multiple of the first step norm abort the loop
 # early on inputs outside its convergence region (e.g. a rank-deficient
@@ -88,7 +91,7 @@ class RefineDiagnostics:
 
     ``step_norm_history`` holds the norm of every update in order;
     ``truncated`` means a pass stopped at its MAX_ITER step cap, certified
-    but perhaps short of the tolerance, ``fallback`` that S's Jacobi
+    but perhaps short of TOL, ``fallback`` that S's Jacobi
     eigenbasis rotated the basis.  ``eigenvalues`` holds the estimates of the
     returned basis, in its column order.
     """
@@ -98,12 +101,6 @@ class RefineDiagnostics:
     truncated: bool
     fallback: bool
     eigenvalues: np.ndarray = field(compare=False)
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is not positive, NaN included."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
 
 def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -192,18 +189,17 @@ def refine_step(a, xhat) -> np.ndarray:
     return _step(a, xhat, np.eye(a.shape[0]), frobenius_norm(a))
 
 
-def refine_to_convergence(
-    a, xhat, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, RefineDiagnostics]:
-    """Repeat refinement steps until the update norm drops below ``tol``.
+def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
+    """Repeat refinement steps until the update norm drops below TOL.
 
-    Stops when ||X' - X|| < tol, or once a pass has run MAX_ITER steps
+    Stops when ||X' - X|| < TOL, or once a pass has run MAX_ITER steps
     (diagnostics then carry ``truncated=True``).  Either stop must pass the
     certificate ||S - D|| <= CERT_RTOL ||A||, so every returned basis is an
     eigenbasis of A to that residual.  The freshly stepped matrix is
     returned, never the pre-step iterate, with its columns sorted by
     descending eigenvalue estimate; the sorted estimates come back as
-    ``diagnostics.eigenvalues``.
+    ``diagnostics.eigenvalues``.  TOL, MAX_ITER and CERT_RTOL are module
+    constants: no caller sets them.
 
     Once per call, a failed certificate rotates the iterate, and a step norm
     above DIVERGENCE_FACTOR times the first of its pass rotates the incoming
@@ -213,7 +209,6 @@ def refine_to_convergence(
     step when ||A|| overflows float64, and ValueError when A or Xhat has a
     non-finite entry.
     """
-    _check_tol(tol)
     # Xhat is checked here, before an infinite entry can reach a product; A
     # only once its norm comes out non-finite, so A costs the per-row path nothing.
     a, xhat = _check_pair(a, xhat, check_a=False)
@@ -235,7 +230,7 @@ def refine_to_convergence(
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         truncated = len(steps) - first == MAX_ITER
-        if truncated or eps < tol:
+        if truncated or eps < TOL:
             lam, _, s_minus_d = _rayleigh(a, new_x, eye)
             off = frobenius_norm(s_minus_d)
             if off <= CERT_RTOL * norm_a:

@@ -63,8 +63,8 @@ def record_refinements(monkeypatch, module):
     calls = []
     real = module.refine_to_convergence
 
-    def recording(a, xhat, **controls):
-        basis, diagnostics = real(a, xhat, **controls)
+    def recording(a, xhat):
+        basis, diagnostics = real(a, xhat)
         calls.append((np.array(a), basis, diagnostics))
         return basis, diagnostics
 

@@ -29,7 +29,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def refinement_suite():
     """100 well-separated symmetric matrices (dim 2..30), oracle bases
-    perturbed by Frobenius-size 1e-2, refined at tol=1e-12."""
+    perturbed by Frobenius-size 1e-2, refined to the kernel's certified stop."""
     rng = np.random.default_rng(2024)
     cases = []
     for k in range(100):
@@ -37,7 +37,7 @@ def refinement_suite():
         a, _ = well_separated_symmetric(dim, seed=9000 + k)
         oracle = jacobi_eigh(a)
         x0 = oracle.vectors + frobenius_perturbation((dim, dim), 1e-2, 500 + k)
-        refined, diag = refine_to_convergence(a, x0, tol=1e-12)
+        refined, diag = refine_to_convergence(a, x0)
         cases.append((a, oracle, refined, diag))
     return cases
 

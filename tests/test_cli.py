@@ -244,8 +244,7 @@ def test_ipca_across_a_regime_switch_is_exact_and_sign_continuous(tmp_path, caps
     # fixed point with eigenvalues tens of percent off
     regime = regime_switch_table(tmp_path, 3000, 9, 7, 1500)
     out = tmp_path / "z.csv"
-    assert main(["ipca", str(regime), "--chunk-spec", "chunk=401", "--tol", "1e-8",
-                 "--output", str(out)]) == 0
+    assert main(["ipca", str(regime), "--chunk-spec", "chunk=401", "--output", str(out)]) == 0
     assert "8 chunk(s), 0 sign discontinuities" in capsys.readouterr().err
     sidecar = json.loads((tmp_path / "z.json").read_text())
     assert sidecar["diagnostics"]["fallback_chunks"]
@@ -295,9 +294,9 @@ def test_ipca_divergence_names_chunk_and_fallback_is_reported(tmp_path, capsys, 
     assert rc == 1
     assert capsys.readouterr().err == "error: chunk 1 (rows 101-200): synthetic divergence\n"
 
-    def from_identity(a, xhat, **controls):
+    def from_identity(a, xhat):
         # the identity: a false fixed point of this covariance
-        return refine_to_convergence(a, np.eye(len(xhat)), **controls)
+        return refine_to_convergence(a, np.eye(len(xhat)))
 
     monkeypatch.setattr("streampca.ipca.refine_to_convergence", from_identity)
     rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
@@ -309,13 +308,14 @@ def test_ipca_divergence_names_chunk_and_fallback_is_reported(tmp_path, capsys, 
 
 @pytest.mark.parametrize("flags", [["--tol", "-1"]], ids=["tol"])
 def test_ipca_bad_refinement_controls_fail_before_any_fit(tmp_path, capsys, flags):
-    # one chunk: no warm fit would ever reach the refinement's own check
+    # the refinement takes no control: the parser refuses the flag
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
     out = tmp_path / "z.csv"
-    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out), *flags])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists() and not (tmp_path / "z.json").exists()
+    with pytest.raises(SystemExit) as exit_:
+        main(["ipca", str(inp), "--chunk-spec", "chunk=300", "--output", str(out), *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [inp]
 
 
 def test_ipca_overflowing_covariance_fails_and_writes_nothing(tmp_path, capsys):
@@ -445,9 +445,10 @@ def test_ewm_bad_refinement_controls_fail_before_the_ml_fit(
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
     target = ["--output", str(tmp_path / "z.csv")] if command == "ewmpca" else [
         "--output-prefix", str(tmp_path / "c_")]
-    rc = main([command, str(inp), "--alpha", "ml", *target, *flags])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: tol must be positive, got -1.0\n"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(inp), "--alpha", "ml", *target, *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [inp]
 
 

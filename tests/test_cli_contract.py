@@ -43,33 +43,30 @@ PARSE_CASES = [
     ),
     (
         ["ipca", "d.csv", "--chunk-spec", "chunk=250", "--output", "z.csv"],
-        {"command": "ipca", "input": "d.csv", "chunk_spec": "chunk=250", "output": "z.csv",
-         "tol": 1e-6},
+        {"command": "ipca", "input": "d.csv", "chunk_spec": "chunk=250", "output": "z.csv"},
     ),
     (
         ["ipca", "in.csv", "--chunk-spec", "by=year", "--output", "z.csv"],
-        {"command": "ipca", "input": "in.csv", "chunk_spec": "by=year", "output": "z.csv",
-         "tol": 1e-6},
+        {"command": "ipca", "input": "in.csv", "chunk_spec": "by=year", "output": "z.csv"},
     ),
     (
-        ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--tol", "1e-8", "--output", "z.csv"],
-        {"command": "ipca", "input": "regime.csv", "chunk_spec": "chunk=401", "output": "z.csv",
-         "tol": 1e-8},
+        ["ipca", "regime.csv", "--chunk-spec", "chunk=401", "--output", "z.csv"],
+        {"command": "ipca", "input": "regime.csv", "chunk_spec": "chunk=401", "output": "z.csv"},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "0.9305", "--output", "z.csv"],
         {"command": "ewmpca", "input": "in.csv", "alpha": "0.9305",
-         "tol": 1e-6, "grid": None, "burn_in": None, "output": "z.csv"},
+         "grid": None, "burn_in": None, "output": "z.csv"},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "ml", "--grid", "0.9:0.98:0.04", "--output", "z.csv"],
         {"command": "ewmpca", "input": "in.csv", "alpha": "ml",
-         "tol": 1e-6, "grid": "0.9:0.98:0.04", "burn_in": None, "output": "z.csv"},
+         "grid": "0.9:0.98:0.04", "burn_in": None, "output": "z.csv"},
     ),
     (
         ["ewmpca", "in.csv", "--alpha", "maximum", "--output", "z.csv"],
         {"command": "ewmpca", "input": "in.csv", "alpha": "maximum",
-         "tol": 1e-6, "grid": None, "burn_in": None, "output": "z.csv"},
+         "grid": None, "burn_in": None, "output": "z.csv"},
     ),
     (
         ["estimate-alpha", "in.csv", "--grid", "0.85:0.97:0.02", "--burn-in", "21",
@@ -86,7 +83,7 @@ PARSE_CASES = [
     (
         ["compare", "in.csv", "--alpha", "0.97", "--output-prefix", "cmp_"],
         {"command": "compare", "input": "in.csv", "alpha": "0.97",
-         "tol": 1e-6, "grid": None, "burn_in": None, "output_prefix": "cmp_"},
+         "grid": None, "burn_in": None, "output_prefix": "cmp_"},
     ),
 ]
 
@@ -127,20 +124,24 @@ def test_missing_required_flag_exits_2(argv):
         ["ipca", "in.csv", "--chunk-spec", "chunk=100", "--output", "z.csv", "--max-iter", "30"],
         ["ewmpca", "in.csv", "--alpha", "0.97", "--output", "z.csv", "--max-iter", "30"],
         ["compare", "in.csv", "--alpha", "0.97", "--output-prefix", "cmp_", "--max-iter", "30"],
+        ["ipca", "in.csv", "--chunk-spec", "chunk=100", "--output", "z.csv", "--tol", "1e-8"],
+        ["ewmpca", "in.csv", "--alpha", "0.97", "--output", "z.csv", "--tol", "1e-8"],
+        ["compare", "in.csv", "--alpha", "0.97", "--output-prefix", "cmp_", "--tol", "1e-8"],
     ],
     ids=["ipca-reseed", "ewmpca-warmup", "compare-warmup",
-         "ipca-max-iter", "ewmpca-max-iter", "compare-max-iter"],
+         "ipca-max-iter", "ewmpca-max-iter", "compare-max-iter",
+         "ipca-tol", "ewmpca-tol", "compare-tol"],
 )
 def test_removed_flag_exits_2(argv):
-    # the refinement recovers by itself and certifies every stop, at the
-    # tolerance or at its fixed step cap: no reseed and no cap to ask for
+    # the refinement recovers by itself and certifies every stop, made by
+    # its fixed tolerance and step cap: no reseed, cap or tolerance to ask for
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(argv)
     assert excinfo.value.code == 2
 
 
 TOP_KEYS = ["command", "params", "alpha", "eigenvalues", "iterations", "diagnostics"]
-EWM_PARAMS = ["input", "alpha", "tol", "grid", "burn_in"]
+EWM_PARAMS = ["input", "alpha", "grid", "burn_in"]
 ML_KEYS = ["argmax", "grid", "loglik", "burn_in"]
 
 
@@ -181,8 +182,8 @@ def test_ipca_sidecar_keys(tmp_path, table):
     assert main(["ipca", table, "--chunk-spec", "chunk=100", "--output", str(out)]) == 0
     sidecar = read_sidecar(tmp_path / "z.json")
     assert list(sidecar) == TOP_KEYS
-    assert sidecar["params"] == {"input": table, "chunk_spec": "chunk=100", "tol": 1e-6}
-    assert list(sidecar["params"]) == ["input", "chunk_spec", "tol"]
+    assert sidecar["params"] == {"input": table, "chunk_spec": "chunk=100"}
+    assert list(sidecar["params"]) == ["input", "chunk_spec"]
     assert list(sidecar["diagnostics"]) == ["chunk_bounds", "sign_continuity", "fallback_chunks"]
 
 

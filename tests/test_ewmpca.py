@@ -105,7 +105,8 @@ def test_add_dimension_mismatch():
 
 def test_add_rejects_non_finite():
     model = EwmPCA(0.9)
-    with pytest.raises(ValueError, match="non-finite"):
+    # the first observation reads like every later one (ewm_init checks it as x)
+    with pytest.raises(ValueError, match="^observation 1: x contains non-finite entries$"):
         model.add([np.inf, 0.0])
 
 
@@ -122,6 +123,31 @@ def test_add_names_the_non_finite_observation(monkeypatch):
     assert model.observation_count == 4 and len(calls) == 3
 
 
+def test_add_all_names_the_first_non_finite_row(monkeypatch):
+    calls = record_refinements(monkeypatch, ewmpca)
+    x = seeded_stream(200, 3, seed=4)
+    x[150, 2] = np.nan
+    x[170, 0] = np.inf
+    model = EwmPCA(0.97)
+    with pytest.raises(ValueError, match="^observation 151: x contains non-finite entries$"):
+        model.add_all(x)
+    # refused before the seed or any row: the model is still fresh
+    assert model.observation_count == 0 and model.basis is None and not calls
+
+
+def test_add_all_counts_the_rows_already_seen(monkeypatch):
+    x = seeded_stream(60, 3, seed=5)
+    model = EwmPCA(0.97)
+    model.add_all(x[:20])
+    basis, state = model.basis.copy(), model.state
+    calls = record_refinements(monkeypatch, ewmpca)
+    bad = x[20:].copy()
+    bad[5, 1] = np.inf
+    with pytest.raises(ValueError, match="^observation 26: x contains non-finite entries$"):
+        model.add_all(bad)
+    assert model.state is state and np.array_equal(model.basis, basis) and not calls
+
+
 def test_alpha_validation():
     with pytest.raises(ValueError, match="alpha"):
         EwmPCA(1.0)
@@ -129,16 +155,16 @@ def test_alpha_validation():
 
 @pytest.mark.parametrize(
     "controls",
-    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}],
-    ids=["tol=-1", "tol=0", "tol=nan"],
+    [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": 1e-6}],
+    ids=["tol=-1", "tol=0", "tol=nan", "tol=default"],
 )
 def test_refinement_controls_checked_when_built(controls):
-    # the kernel's check and message, before any row instead of at the second
-    with pytest.raises(ValueError) as kernel:
+    # the step tolerance is the kernel's constant: no value is taken, not
+    # even the one it holds
+    with pytest.raises(TypeError, match="tol"):
         refine_to_convergence(np.eye(2), np.eye(2), **controls)
-    with pytest.raises(ValueError) as built:
+    with pytest.raises(TypeError, match="tol"):
         EwmPCA(0.9, **controls)
-    assert str(built.value) == str(kernel.value)
 
 
 def test_initial_basis_must_be_near_orthonormal():

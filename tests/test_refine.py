@@ -152,7 +152,7 @@ def test_one_step_quadratic_error_reduction():
 
 
 def test_diagonal_converges_in_one_iteration():
-    out, diag = refine_to_convergence(np.diag([4.0, 1.0]), np.eye(2), tol=1e-1)
+    out, diag = refine_to_convergence(np.diag([4.0, 1.0]), np.eye(2))
     assert np.array_equal(out, np.eye(2))
     assert diag.iterations == 1
     assert diag.step_norm_history == (0.0,)
@@ -160,22 +160,24 @@ def test_diagonal_converges_in_one_iteration():
     assert np.array_equal(diag.eigenvalues, [4.0, 1.0])
 
 
-def test_cap_stop_is_certified():
+def test_cap_stop_is_certified(monkeypatch):
     # no step norm falls below 1e-300: the pass stops at the cap, certified
     a, _ = well_separated_symmetric(7, seed=3)
     oracle = jacobi_eigh(a)
     x0 = oracle.vectors + frobenius_perturbation((7, 7), 1e-2, 31)
-    out, diag = refine_to_convergence(a, x0, tol=1e-300)
+    monkeypatch.setattr(refine, "TOL", 1e-300)
+    out, diag = refine_to_convergence(a, x0)
     assert diag.iterations == MAX_ITER
     assert diag.truncated and not diag.fallback
     assert relative_residual(a, out, diag) <= CERT_RTOL
 
 
-def test_converges_quadratically_to_tight_tolerance():
+def test_converges_quadratically_to_tight_tolerance(monkeypatch):
     a, _ = well_separated_symmetric(12, seed=8)
     oracle = jacobi_eigh(a)
     x0 = oracle.vectors + frobenius_perturbation((12, 12), 1e-2, 99)
-    out, diag = refine_to_convergence(a, x0, tol=1e-12)
+    monkeypatch.setattr(refine, "TOL", 1e-12)
+    out, diag = refine_to_convergence(a, x0)
     lam = estimate_eigenvalues(a, out)
     res = frobenius_norm(a @ out - out * lam)
     assert res <= 1e-10 * max(1.0, frobenius_norm(a))
@@ -190,10 +192,10 @@ def test_step_norm_history_matches_diagnostics():
     a, _ = well_separated_symmetric(6, seed=4)
     oracle = jacobi_eigh(a)
     x0 = oracle.vectors + frobenius_perturbation((6, 6), 1e-2, 55)
-    _, diag = refine_to_convergence(a, x0, tol=1e-10)
+    _, diag = refine_to_convergence(a, x0)
     assert len(diag.step_norm_history) == diag.iterations
     assert diag.iterations >= 1
-    assert diag.step_norm_history[-1] < 1e-10 and not diag.truncated
+    assert diag.step_norm_history[-1] < refine.TOL and not diag.truncated
 
 
 def test_sorting_clause_orders_values_and_permutes_columns():
@@ -202,8 +204,8 @@ def test_sorting_clause_orders_values_and_permutes_columns():
     # scramble the column order so sorting has work to do
     perm = np.array([3, 0, 5, 1, 4, 2])
     x0 = oracle.vectors[:, perm] + frobenius_perturbation((6, 6), 1e-3, 13)
-    unsorted_out, _ = reference_loop(a, x0, 1e-12, sort=False)
-    sorted_out, diag = refine_to_convergence(a, x0, tol=1e-12)
+    unsorted_out, _ = reference_loop(a, x0, sort=False)
+    sorted_out, diag = refine_to_convergence(a, x0)
     lam_sorted = estimate_eigenvalues(a, sorted_out)
     assert np.all(np.diff(lam_sorted) <= 0.0)
     # the sort hands back the estimates it formed, permuted with the columns
@@ -235,13 +237,13 @@ def test_divergence_guard_fires_on_wild_start():
     rng = np.random.default_rng(0)
     wild = 10.0 * rng.standard_normal((6, 6))
     with pytest.raises(DivergenceError, match="refinement diverging"):
-        refine_to_convergence(a, wild, tol=1e-12)
+        refine_to_convergence(a, wild)
 
 
 def test_invalid_tol_and_max_iter():
-    with pytest.raises(ValueError, match="tol"):
-        refine_to_convergence(np.eye(2), np.eye(2), tol=0.0)
-    # the step cap is fixed: no caller sets it
+    # the step tolerance and the step cap are fixed: no caller sets them
+    with pytest.raises(TypeError, match="tol"):
+        refine_to_convergence(np.eye(2), np.eye(2), tol=1e-6)
     with pytest.raises(TypeError, match="max_iter_count"):
         refine_to_convergence(np.eye(2), np.eye(2), max_iter_count=1)
 
@@ -249,11 +251,13 @@ def test_invalid_tol_and_max_iter():
 def test_default_cap_reports_truncation(monkeypatch):
     a, _ = well_separated_symmetric(7, seed=3)
     x0 = jacobi_eigh(a).vectors + frobenius_perturbation((7, 7), 1e-2, 31)
-    _, free = refine_to_convergence(a, x0, tol=1e-12)
+    # tight enough that neither pass of 2 steps reaches it
+    monkeypatch.setattr(refine, "TOL", 1e-12)
+    _, free = refine_to_convergence(a, x0)
     assert 2 < free.iterations < MAX_ITER and not free.truncated
     monkeypatch.setattr(refine, "MAX_ITER", 2)
     seen = spy_on_steps(monkeypatch)
-    out, diag = refine_to_convergence(a, x0, tol=1e-12)
+    out, diag = refine_to_convergence(a, x0)
     # the first pass stops at the cap short of the certificate: the one
     # rotation, of that iterate, starts a second pass of 2 steps
     assert diag.iterations == 4
@@ -278,12 +282,12 @@ def warm_started_pairs():
     return [(ewm, model.basis), (chunk_cov, chunked.components_)]
 
 
-def reference_loop(a, x, tol, sort):
+def reference_loop(a, x, sort):
     steps = []
     while True:
         new_x = refine_step(a, x)
         steps.append(frobenius_norm(new_x - x))
-        if len(steps) == MAX_ITER or steps[-1] < tol:
+        if len(steps) == MAX_ITER or steps[-1] < refine.TOL:
             break
         x = new_x
     if sort:
@@ -292,10 +296,11 @@ def reference_loop(a, x, tol, sort):
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
-def test_loop_equals_repeated_refine_step_bitwise(tol):
+def test_loop_equals_repeated_refine_step_bitwise(monkeypatch, tol):
+    monkeypatch.setattr(refine, "TOL", tol)
     for a, x0 in warm_started_pairs():
-        expected, steps = reference_loop(a, x0, tol, sort=True)
-        out, diag = refine_to_convergence(a, x0, tol=tol)
+        expected, steps = reference_loop(a, x0, sort=True)
+        out, diag = refine_to_convergence(a, x0)
         assert diag.iterations > 1
         assert diag.step_norm_history == steps
         assert np.array_equal(out, expected)
@@ -468,9 +473,10 @@ def test_failed_cap_stops_rotate_once_then_raise(monkeypatch):
     x0 = jacobi_eigh(a).vectors + frobenius_perturbation((7, 7), 1e-2, 31)
     monkeypatch.setattr(refine, "MAX_ITER", 5)
     monkeypatch.setattr(refine, "CERT_RTOL", 0.0)
+    monkeypatch.setattr(refine, "TOL", 1e-300)
     seen = spy_on_steps(monkeypatch)
     with pytest.raises(RecoveryError, match="^uncertified stop at the step cap: .* of S$"):
-        refine_to_convergence(a, x0, tol=1e-300)
+        refine_to_convergence(a, x0)
     # two passes of MAX_ITER steps; the second starts from the rotated iterate
     assert len(seen) == 2 * 5
     stalled = refine_step(a, seen[4])

@@ -59,10 +59,10 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "compare-ml_run.json").stat().st_size > 0
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
     # the regime switch: rotated chunks, exact eigenvalues, no sign flip
-    assert "8 chunk(s), 0 sign discontinuities" in (out / "ipca-regime9-tol.stderr").read_text()
-    sidecar = json.loads((out / "ipca-regime9-tol.json").read_text())
+    assert "8 chunk(s), 0 sign discontinuities" in (out / "ipca-regime9.stderr").read_text()
+    sidecar = json.loads((out / "ipca-regime9.json").read_text())
     assert sidecar["diagnostics"]["fallback_chunks"] == [3, 4]
-    removed = {"--reseed", "--warmup", "--max-iter"}
+    removed = {"--reseed", "--warmup", "--max-iter", "--tol"}
     assert all(removed.isdisjoint(argv) for _, argv in snapshot.COMMANDS)
 
 
