@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .ewmpca import EwmPCA
-from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
+from .ewmpca import EwmPCA, seed_initial_basis
+from .ewmstats import _check_alpha, _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
 from .refine import DivergenceError
@@ -220,8 +220,9 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, i
 
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
-    """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA over
-    every row: (alpha, ML record or None, model, component series)."""
+    """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA,
+    seeded from the head of the data when it has p + 1 rows (else from the
+    identity), over every row: (alpha, ML record or None, model, series)."""
     if args.alpha == "ml":
         grid, alpha, curve, burn_in = _fit_alpha(args, data)
         ml = {
@@ -237,8 +238,10 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
             raise ValueError(
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
+        _check_alpha(alpha)  # a bad alpha fails before the seed is computed
         ml = None
-    model = EwmPCA(alpha)
+    n, p = data.shape
+    model = EwmPCA(alpha, initial_basis=seed_initial_basis(data) if n > p else None)
     return alpha, ml, model, model.add_all(data)
 
 

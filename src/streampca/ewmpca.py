@@ -10,10 +10,8 @@ average.
 
 Two entry points, freely interleavable: ``add`` consumes a single observation
 and returns its component row; ``add_all`` folds ``add`` over the rows of a
-matrix.  On a fresh, unseeded model ``add_all`` first seeds the basis from
-the sample covariance of its leading rows (up to 100, or p + 1 when p is
-wider), then processes every row from the beginning so the output stays
-row-aligned with the input.
+matrix.  A model starts from ``initial_basis``, or else from the identity;
+``seed_initial_basis`` computes a start from the head of a matrix.
 
 Each refinement is certified, with at most one Jacobi rotation of S per row
 (:func:`streampca.refine.refine_to_convergence`), so pure online mode
@@ -30,24 +28,30 @@ from .refine import DivergenceError, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
 
-# Head length used to seed the initial basis in batch mode (p + 1 if wider).
+# Rows of its input that seed_initial_basis reads (p + 1 if wider).
 DEFAULT_SEED_ROWS = 100
 
 
-def seed_initial_basis(x_head) -> np.ndarray:
-    """Initial eigenbasis from the sample covariance of the leading rows.
+def seed_initial_basis(x) -> np.ndarray:
+    """Initial eigenbasis from the sample covariance of the first
+    max(DEFAULT_SEED_ROWS, p + 1) rows of ``x``, or of all of them if fewer.
 
     Needs at least p + 1 rows so the covariance can have full rank.  Column
-    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.
+    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  An
+    overflow or eigensolver failure names the rows read (``seed rows 1-k: ``).
     """
-    head = as_matrix(x_head, "x_head")
-    n, p = head.shape
+    arr = as_matrix(x, "x")
+    n, p = arr.shape
     if n < p + 1:
         raise ValueError(
             f"need at least p + 1 = {p + 1} rows to seed an initial basis, got {n}"
         )
-    _, cov = sample_covariance(head)
-    return jacobi_eigh(cov).vectors
+    k = min(max(DEFAULT_SEED_ROWS, p + 1), n)
+    try:
+        _, cov = sample_covariance(arr[:k])
+        return jacobi_eigh(cov).vectors
+    except (OverflowError, RuntimeError) as err:
+        raise type(err)(f"seed rows 1-{k}: {err}") from err
 
 
 class EwmPCA:
@@ -56,9 +60,9 @@ class EwmPCA:
     Parameters
     ----------
     alpha : decay of the moving moments, strictly inside (0, 1)
-    initial_basis : optional (p, p) near-orthonormal starting basis; when
-        omitted, batch mode seeds from the leading rows and pure online mode
-        starts from the identity
+    initial_basis : optional (p, p) near-orthonormal starting basis, e.g.
+        from :func:`seed_initial_basis`; when omitted, the first observation
+        sets the identity
 
     Each observation's refinement stops by the kernel's fixed rule
     (:func:`streampca.refine.refine_to_convergence`); no caller sets it.
@@ -160,16 +164,7 @@ class EwmPCA:
         if not finite.all():
             bad = self.observation_count + 1 + int(finite.all(axis=1).argmin())
             raise ValueError(f"observation {bad}: x contains non-finite entries")
-        n, p = arr.shape
-        if n > 0 and self._ewm is None and self._basis is None:
-            # p + 1 rows at least: fewer cannot seed at p >= DEFAULT_SEED_ROWS.
-            head = arr[: min(max(DEFAULT_SEED_ROWS, p + 1), n)]
-            if head.shape[0] >= p + 1:
-                try:
-                    self._basis = seed_initial_basis(head)
-                except (OverflowError, RuntimeError) as err:
-                    raise type(err)(f"seed rows 1-{head.shape[0]}: {err}") from err
-        out = np.empty((n, p))
-        for i in range(n):
-            out[i] = self.add(arr[i])
+        out = np.empty(arr.shape)
+        for i, row in enumerate(arr):
+            out[i] = self.add(row)
         return out

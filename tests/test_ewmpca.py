@@ -48,30 +48,27 @@ def test_seed_basis_passes_oracle_residual_checks():
 
 def test_default_seed_head_is_100_rows():
     assert DEFAULT_SEED_ROWS == 100
-    # add_all on a fresh model behaves exactly like seeding from the first
-    # 100 rows explicitly
+    # the seed reads the first 100 rows and ignores the rest
     x = seeded_stream(150, 3)
-    auto = EwmPCA(0.95)
-    z_auto = auto.add_all(x)
-    explicit = EwmPCA(0.95, initial_basis=seed_initial_basis(x[:100]))
-    z_explicit = explicit.add_all(x)
-    assert np.array_equal(z_auto, z_explicit)
+    assert np.array_equal(seed_initial_basis(x), seed_initial_basis(x[:100]))
 
 
 def test_wide_input_seeds_from_p_plus_one_rows(monkeypatch):
     # At p >= DEFAULT_SEED_ROWS the first 100 rows are too few to seed from:
     # the seed takes p + 1 rows.
     x = stationary_gaussian(102, 100, seed=1)
+    basis = seed_initial_basis(x)
+    assert np.array_equal(basis, seed_initial_basis(x[:101]))
     calls = record_refinements(monkeypatch, ewmpca)
-    auto = EwmPCA(0.97)
-    z_auto = auto.add_all(x)
+    batch = EwmPCA(0.97, initial_basis=basis)
+    z_batch = batch.add_all(x)
     # hard data at p = 100: every row of a short stream is certified
     assert len(calls) == 101
     assert worst_relative_residual(calls) <= 1e-10
-    explicit = EwmPCA(0.97, initial_basis=seed_initial_basis(x[:101]))
-    z_explicit = np.array([explicit.add(row) for row in x])
-    assert np.array_equal(z_auto, z_explicit)
-    assert np.array_equal(auto.basis, explicit.basis)
+    online = EwmPCA(0.97, initial_basis=basis)
+    z_online = np.array([online.add(row) for row in x])
+    assert np.array_equal(z_batch, z_online)
+    assert np.array_equal(batch.basis, online.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,7 @@ def test_add_all_names_the_first_non_finite_row(monkeypatch):
     model = EwmPCA(0.97)
     with pytest.raises(ValueError, match="^observation 151: x contains non-finite entries$"):
         model.add_all(x)
-    # refused before the seed or any row: the model is still fresh
+    # refused before any row: the model is still fresh
     assert model.observation_count == 0 and model.basis is None and not calls
 
 
@@ -240,6 +237,13 @@ def test_divergence_error_carries_observation_index(monkeypatch):
 # add_all
 
 
+def assert_same_model(a, b):
+    assert np.array_equal(a.basis, b.basis)
+    assert a.state.alpha == b.state.alpha and a.state.count == b.state.count
+    assert np.array_equal(a.state.mean, b.state.mean)
+    assert np.array_equal(a.state.cov, b.state.cov)
+
+
 def test_add_all_equals_fold_of_add_bitwise():
     x = seeded_stream(500, 4, seed=5)
     basis = seed_initial_basis(x[:100])
@@ -248,8 +252,19 @@ def test_add_all_equals_fold_of_add_bitwise():
     online = EwmPCA(0.97, initial_basis=basis)
     z_online = np.vstack([online.add(row) for row in x])
     assert np.array_equal(z_batch, z_online)
-    assert np.array_equal(batch.state.cov, online.state.cov)
-    assert np.array_equal(batch.basis, online.basis)
+    assert_same_model(batch, online)
+
+
+@pytest.mark.parametrize("n, p", [(300, 4), (3, 3), (2, 5)], ids=["long", "n=p", "n<p"])
+def test_add_all_on_a_fresh_model_equals_fold_of_add(n, p):
+    # no seed either way: both start from the identity
+    x = stationary_gaussian(n, p, seed=5)
+    batch = EwmPCA(0.97)
+    z_batch = batch.add_all(x)
+    online = EwmPCA(0.97)
+    z_online = np.vstack([online.add(row) for row in x])
+    assert np.array_equal(z_batch, z_online)
+    assert_same_model(batch, online)
 
 
 def test_modes_interleave():
