@@ -80,11 +80,15 @@ def parse_chunk_spec(spec: str) -> tuple[str, object]:
 
 
 def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
-    """Half-open row ranges [lo, hi) covering the table in order."""
+    """Half-open row ranges [lo, hi) covering the table in order; under 'chunk=N'
+    a 1-row remainder (no sample covariance) joins the chunk before it."""
     kind, value = parse_chunk_spec(spec)
     n = table.n_rows
     if kind == "chunk":
-        return [(lo, min(lo + value, n)) for lo in range(0, n, value)]
+        starts = list(range(0, n, value))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        return list(zip(starts, starts[1:] + [n]))
     if table.timestamps is None:
         raise ValueError(f"chunk spec 'by={value}' needs a timestamp column in the input")
     heads = [ts[:10] for ts in table.timestamps]
@@ -149,10 +153,6 @@ def cmd_ipca(args) -> None:
     if table.n_rows == 0:
         raise ValueError(f"{args.input}: no observation rows")
     bounds = chunk_bounds(table, args.chunk_spec)
-    last_lo, n = bounds[-1]
-    if args.chunk_spec.startswith("chunk=") and len(bounds) > 1 and n - last_lo == 1:
-        # A 1-row remainder has no sample covariance: it joins the chunk before it.
-        bounds[-2:] = [(bounds[-2][0], n)]
     model = IteratedPCA()
     pieces: list[np.ndarray] = []
     eigenvalues: list[list[float]] = []
@@ -220,9 +220,8 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, i
 
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
-    """Resolve --alpha ('ml' fits it to the data first), then run EwmPCA,
-    seeded from the head of the data when it has p + 1 rows (else from the
-    identity), over every row: (alpha, ML record or None, model, series)."""
+    """Resolve --alpha ('ml' fits it first), then run EwmPCA, seeded if there are
+    p + 1 rows, over every row: (alpha, ML record or None, model, series)."""
     if args.alpha == "ml":
         grid, alpha, curve, burn_in = _fit_alpha(args, data)
         ml = {

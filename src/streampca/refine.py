@@ -4,7 +4,7 @@ Given symmetric A and an approximate eigenvector matrix Xhat (columns), each
 step forms
 
     R = I - Xhat^T Xhat          (orthonormality residual)
-    S = Xhat^T A Xhat            (near-diagonal near the true basis)
+    S = Xhat^T A Xhat            (symmetrized; near-diagonal near the true basis)
     lambda_i = s_ii / (1 - r_ii)
 
 and a correction E whose (i, j) entry uses the eigengap formula
@@ -130,10 +130,13 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
     float64 arrays of matching square shape, ``eye`` the identity of that size.
 
     S - D is S with lambda subtracted from its diagonal in place; S's own
-    diagonal is not needed once lambda is formed.
+    diagonal is not needed once lambda is formed.  The computed Xhat^T (A Xhat)
+    is symmetric only to rounding, and the wide-pair formula would divide
+    that asymmetry by gaps near its size, so S is symmetrized first.
     """
     r = eye - np.dot(xhat.T, xhat)
     s = np.dot(xhat.T, np.dot(a, xhat))
+    s = (s + s.T) * 0.5
     denom = 1.0 - r.diagonal()
     # initial=inf: a 0 x 0 input has no column to reject
     if abs(denom).min(initial=np.inf) < 1e-14:
@@ -141,8 +144,8 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
             "degenerate approximate eigenvector: column "
             f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"
         )
-    # np.dot returns a fresh C-contiguous array, so this strided slice is a
-    # writable view of S's diagonal.
+    # S is a fresh C-contiguous array, so this strided slice is a writable
+    # view of its diagonal.
     s_diag = s.reshape(-1)[:: s.shape[0] + 1]
     lam = s_diag / denom
     s_diag -= lam

@@ -4,7 +4,8 @@ Near-isotropic, moderate-gap and clustered spectra, and the exact zero
 eigenvalue of a duplicated or constant column, through every model: each
 warm chunk of ``IteratedPCA`` and each row of ``EwmPCA``, seeded or pure
 online from the identity, must come back with an eigen-residual
-||A V - V diag(lambda)||_F <= 1e-10 ||A||_F.
+||A V - V diag(lambda)||_F <= 1e-10 ||A||_F and orthonormal columns,
+||V^T V - I||_F <= 1e-10.
 ``test_ewmpca.py::test_wide_input_seeds_from_p_plus_one_rows`` checks the
 same of ``add_all`` at p = 100.
 """
@@ -21,6 +22,11 @@ from conftest import HARD_STREAMS, hard_streams, record_refinements, worst_relat
 CERTIFIED = 1e-10
 
 
+def worst_drift(calls):
+    """The largest ||V^T V - I||_F over recorded calls."""
+    return max(np.linalg.norm(v.T @ v - np.eye(v.shape[1])) for _, v, _ in calls)
+
+
 @pytest.mark.parametrize("name", HARD_STREAMS)
 def test_iterated_pca_certifies_every_chunk(monkeypatch, name):
     x = hard_streams(1000)[name]
@@ -31,6 +37,7 @@ def test_iterated_pca_certifies_every_chunk(monkeypatch, name):
     # every warm chunk refined
     assert len(calls) == 4
     assert worst_relative_residual(calls) <= CERTIFIED
+    assert worst_drift(calls) <= CERTIFIED
 
 
 @pytest.mark.parametrize("name", HARD_STREAMS)
@@ -43,6 +50,7 @@ def test_seeded_ewmpca_certifies_every_row(monkeypatch, name):
     # every row after the first refined
     assert len(calls) == 599
     assert worst_relative_residual(calls) <= CERTIFIED
+    assert worst_drift(calls) <= CERTIFIED
 
 
 @pytest.mark.parametrize("name", HARD_STREAMS)
@@ -54,3 +62,4 @@ def test_pure_online_ewmpca_certifies_every_row_from_the_identity(monkeypatch, n
         model.add(row)
     assert len(calls) == 599
     assert worst_relative_residual(calls) <= CERTIFIED
+    assert worst_drift(calls) <= CERTIFIED
