@@ -50,7 +50,7 @@ COMMANDS = [
     ("ipca-regime9", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401"]),
     ("ewmpca-numeric", ["ewmpca", "gauss.csv", "--alpha", "0.97"]),
     ("ewmpca-regime", ["ewmpca", "regime.csv", "--alpha", "0.95"]),
-    # p = 48: the seed's memory layout reaches the bits of BLAS products
+    # p = 48: from p = 32 on, a basis's memory layout can change BLAS product bits
     ("ewmpca-wide", ["ewmpca", "wide.csv", "--alpha", "0.97"]),
     ("ewmpca-ml", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID]),
     ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50"]),
