@@ -2,8 +2,8 @@
 
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
-text edits (timestamps, overflowing halves, a rank-one table, a table too
-short for the default burn-in).  Two derived tables are not plain, so that
+text edits (timestamps, overflowing halves, a tail in reverse order, a
+rank-one table).  Two derived tables are not plain, so that
 they take the ``csv`` row reader where the others take numpy's: one has
 quoted timestamps that hold a comma, one LF line ends and blank lines.  Every
 command runs in OUTDIR with relative paths, so the files it writes, and the
@@ -49,6 +49,8 @@ COMMANDS = [
     # chunks 3 and 4 straddle the switch and take the kernel's Jacobi rotation
     ("ipca-regime9", ["ipca", "regime9.csv", "--chunk-spec", "chunk=401"]),
     ("ewmpca-numeric", ["ewmpca", "gauss.csv", "--alpha", "0.97"]),
+    # gauss.csv after row 100 reversed: rows 1-100 match ewmpca-numeric's
+    ("ewmpca-tail", ["ewmpca", "gauss_tail.csv", "--alpha", "0.97"]),
     ("ewmpca-regime", ["ewmpca", "regime.csv", "--alpha", "0.95"]),
     # p = 48: from p = 32 on, a basis's memory layout can change BLAS product bits
     ("ewmpca-wide", ["ewmpca", "wide.csv", "--alpha", "0.97"]),
@@ -70,8 +72,9 @@ COMMANDS = [
     ("error-ipca-overflow-warm-chunk", ["ipca", "overflow_tail.csv", "--chunk-spec",
                                         "chunk=300"]),
     ("error-ewmpca-overflow", ["ewmpca", "overflow_tail.csv", "--alpha", "0.97"]),
-    ("error-ewmpca-overflow-seed", ["ewmpca", "overflow_head.csv", "--alpha", "0.97"]),
-    ("error-compare-overflow-seed", ["compare", "overflow_head.csv", "--alpha", "0.97"]),
+    # the first refinement, at observation 2, overflows
+    ("error-ewmpca-overflow-head", ["ewmpca", "overflow_head.csv", "--alpha", "0.97"]),
+    ("error-compare-overflow-head", ["compare", "overflow_head.csv", "--alpha", "0.97"]),
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
     ("error-estimate-alpha-inf-step", ["estimate-alpha", "vc.csv", "--grid", "0.5:0.9:inf"]),
@@ -113,6 +116,8 @@ def derive_inputs(outdir: Path) -> None:
         f"{start + timedelta(days=i // 150)}T09:{30 + i % 30:02d}:00,{row}"
         for i, row in enumerate(rows)
     ]
+    tail = [header, *rows[:100], *rows[:99:-1]]
+    (outdir / "gauss_tail.csv").write_text("\r\n".join(tail) + "\r\n", newline="")
     (outdir / "stamped.csv").write_text("\r\n".join(stamped) + "\r\n", newline="")
     quoted = [f"timestamp,{header}"] + [
         f'"{start + timedelta(days=i // 150)}, 09:{30 + i % 30:02d}",{row}'

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from streampca.ewmpca import EwmPCA, seed_initial_basis
+from streampca.ewmpca import EwmPCA
 from streampca.ewmstats import ewm_init, ewm_update
 from streampca.ipca import IteratedPCA
 from streampca.linalg import (
@@ -59,7 +59,7 @@ def main():
     )
 
     z_classic = IteratedPCA().fit_transform(x)
-    z_moving = EwmPCA(args.alpha, initial_basis=seed_initial_basis(x)).add_all(x)
+    z_moving = EwmPCA(args.alpha).add_all(x)  # pure online, from the identity
     corr = cross_correlation(z_classic, z_moving)
     off = np.abs(corr[~np.eye(args.cols, dtype=bool)])
     print(f"classical-vs-EWMPCA crosscorrelation: max |offdiag| {off.max():.3f}")

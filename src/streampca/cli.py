@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .ewmpca import EwmPCA, seed_initial_basis
-from .ewmstats import _check_alpha, _check_burn_in, default_alpha_grid, estimate_alpha
+from .ewmpca import EwmPCA
+from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_correlation, cross_covariance
 from .refine import DivergenceError
@@ -220,8 +220,8 @@ def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, i
 
 
 def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.ndarray]:
-    """Resolve --alpha ('ml' fits it first), then run EwmPCA, seeded if there are
-    p + 1 rows, over every row: (alpha, ML record or None, model, series)."""
+    """Resolve --alpha ('ml' fits it on the whole table first), then run EwmPCA pure
+    online from the identity over every row: (alpha, ML record or None, model, series)."""
     if args.alpha == "ml":
         grid, alpha, curve, burn_in = _fit_alpha(args, data)
         ml = {
@@ -237,10 +237,8 @@ def _run_ewm(args, data: np.ndarray) -> tuple[float, dict | None, EwmPCA, np.nda
             raise ValueError(
                 f"--alpha must be a number in (0, 1) or 'ml', got {args.alpha!r}"
             ) from None
-        _check_alpha(alpha)  # a bad alpha fails before the seed is computed
         ml = None
-    n, p = data.shape
-    model = EwmPCA(alpha, initial_basis=seed_initial_basis(data) if n > p else None)
+    model = EwmPCA(alpha)
     return alpha, ml, model, model.add_all(data)
 
 
@@ -370,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     decay.add_argument(
         "--alpha",
         required=True,
-        help="decay in (0, 1), or 'ml' to fit it by maximum likelihood first",
+        help="decay in (0, 1), or 'ml' to fit it by maximum likelihood on the "
+        "whole table before the run (a look-ahead; for a causal run, fit it on a "
+        "training prefix with estimate-alpha and pass the number)",
     )
 
     p = sub.add_parser("synth", help="write a seeded synthetic observation table")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streampca.cli import chunk_bounds, main, parse_chunk_spec, parse_grid_spec
+from streampca.ewmpca import seed_initial_basis
 from streampca.ipca import IteratedPCA
 from streampca.linalg import cross_correlation, cross_covariance
 from streampca.refine import RecoveryError, refine_to_convergence
@@ -367,16 +368,23 @@ def test_ewmpca_overflow_names_the_observation(tmp_path, capsys):
     "command, output", [("ewmpca", ["--output", "z.csv"]), ("compare", ["--output-prefix", "z_"])]
 )
 def test_seed_overflow_names_the_seed_rows(tmp_path, capsys, monkeypatch, command, output):
-    # 600 x 4, the first 300 rows scaled by 1e78: the seed's covariance
-    # overflows before any observation is refined
+    # 600 x 4, the first 300 rows scaled by 1e78: the library's seed names the
+    # rows it read when their covariance overflows
     data = stationary_gaussian(600, 4, seed=5)
     data[:300] *= 1e78
+    with pytest.raises(OverflowError) as err:
+        seed_initial_basis(data)
+    assert str(err.value).startswith(
+        "seed rows 1-100: Jacobi eigensolver: the Frobenius norm of the 4 x 4 "
+        "input overflows float64"
+    )
+    # the CLI does not seed: its first refinement, at observation 2, overflows
     inp = write_data(tmp_path, data)
     monkeypatch.chdir(tmp_path)
     rc = main([command, str(inp), "--alpha", "0.97", *output])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: seed rows 1-100: Jacobi eigensolver: the Frobenius norm of the 4 x 4 "
+        "error: observation 2: refinement: the Frobenius norm of the 4 x 4 "
         "input overflows float64"
     )
     assert sorted(f.name for f in tmp_path.iterdir()) == ["in.csv"]
@@ -414,6 +422,23 @@ def test_ewmpca_typical_alpha_and_zero_first_row(tmp_path):
     assert sidecar["diagnostics"]["ml"] is None
 
 
+def test_ewmpca_rows_depend_on_earlier_rows_only(tmp_path):
+    # 400 x 9; the copy redraws rows 61-400.  A run seeded from the first 100
+    # rows changed component rows 2-60 under this edit.
+    k = 60
+    data = stationary_gaussian(400, 9, seed=3)
+    edited = data.copy()
+    edited[k:] = stationary_gaussian(400 - k, 9, seed=4)
+    lines = []
+    for name, table in (("a", data), ("b", edited)):
+        inp = write_data(tmp_path, table, name=f"{name}.csv")
+        out = tmp_path / f"z_{name}.csv"
+        assert main(["ewmpca", str(inp), "--alpha", "0.97", "--output", str(out)]) == 0
+        lines.append(out.read_bytes().splitlines())
+    assert lines[0][: k + 1] == lines[1][: k + 1]  # the header and rows 1..k
+    assert lines[0][k + 1] != lines[1][k + 1]
+
+
 def test_ewmpca_ml_alpha_records_grid_and_argmax(tmp_path):
     inp = write_data(tmp_path, stationary_gaussian(400, 2, seed=12))
     out = tmp_path / "z.csv"
@@ -432,6 +457,10 @@ def test_ewmpca_bad_alpha_is_an_error(tmp_path, capsys):
                "--output", str(tmp_path / "z.csv")])
     assert rc == 1
     assert "--alpha" in capsys.readouterr().err
+    rc = main(["ewmpca", str(inp), "--alpha", "1.5", "--output", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: alpha must lie strictly between 0 and 1, got 1.5\n"
+    assert list(tmp_path.iterdir()) == [inp]
 
 
 @pytest.mark.parametrize("flags", [["--tol", "-1"]], ids=["tol"])

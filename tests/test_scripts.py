@@ -58,6 +58,11 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "estimate-alpha-default.csv").stat().st_size > 0
     assert (out / "compare-ml_run.json").stat().st_size > 0
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
+    assert (out / "error-ewmpca-overflow-head.stderr").read_text().startswith("error: observation 2:")
+    # causal: the header and rows 1-100 do not depend on the reversed tail
+    numeric, tail = ((out / f"{case}.csv").read_bytes().splitlines() for case in
+                     ("ewmpca-numeric", "ewmpca-tail"))
+    assert numeric[:101] == tail[:101] and numeric[101] != tail[101]
     # the regime switch: rotated chunks, exact eigenvalues, no sign flip
     assert "8 chunk(s), 0 sign discontinuities" in (out / "ipca-regime9.stderr").read_text()
     sidecar = json.loads((out / "ipca-regime9.json").read_text())
