@@ -88,7 +88,7 @@ class EwmPCA:
                 raise ValueError(
                     f"initial basis is not near-orthonormal (||W^T W - I||_F = {drift:.3e})"
                 )
-            self._basis = basis.copy()
+            self._basis = basis.copy(order="F")
         self._ewm: EwmState | None = None
         self._eigenvalues: np.ndarray | None = None
         self.iteration_counts: list[int] = []

@@ -104,10 +104,10 @@ class RefineDiagnostics:
 
 
 def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce A and Xhat to float64, check their shapes and that Xhat, and A
-    unless ``check_a`` is False, has only finite entries."""
+    """Coerce A to float64 and Xhat to float64 in F order, the layout of every returned
+    basis; check the shapes, and that Xhat, and A unless ``check_a`` is False, are finite."""
     a = np.asarray(a, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
+    xhat = np.asfortranarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if xhat.shape != a.shape:

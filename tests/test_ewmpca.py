@@ -369,3 +369,16 @@ def test_fallback_count_counts_rotated_rows(monkeypatch):
     model = EwmPCA(0.97)
     model.add_all(seeded_stream(150, 4, seed=14))
     assert model.fallback_count == sum(diag.fallback for _, _, diag in calls) > 0
+
+
+@pytest.mark.parametrize("p", [32, 100])
+def test_c_and_f_ordered_initial_bases_give_identical_bits(p):
+    x = stationary_gaussian(220, p, seed=1)
+    start = seed_initial_basis(x[:200])
+    models = [EwmPCA(0.97, initial_basis=layout(start))
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert all(model.basis.flags.f_contiguous for model in models)
+    series = [model.add_all(x[200:]) for model in models]
+    assert np.array_equal(*series)
+    assert np.array_equal(models[0].basis, models[1].basis)
+    assert np.array_equal(models[0].eigenvalues(), models[1].eigenvalues())

@@ -481,3 +481,18 @@ def test_failed_cap_stops_rotate_once_then_raise(monkeypatch):
     assert len(seen) == 2 * 5
     stalled = refine_step(a, seen[4])
     assert np.array_equal(seen[5], stalled @ jacobi_eigh(stalled.T @ (a @ stalled)).vectors)
+
+
+@pytest.mark.parametrize("p", [32, 100])
+def test_c_and_f_ordered_starts_refine_bit_identically(p):
+    # From p = 32 on, BLAS product bits depend on a basis's memory layout, so
+    # the kernel takes every basis in F order, the order both solvers return.
+    x = stationary_gaussian(400, p, seed=1)
+    start = jacobi_eigh(sample_covariance(x[:200])[1]).vectors
+    _, cov = sample_covariance(x)
+    c_basis, c_diag = refine_to_convergence(cov, np.ascontiguousarray(start))
+    f_basis, f_diag = refine_to_convergence(cov, np.asfortranarray(start))
+    assert start.flags.f_contiguous and c_basis.flags.f_contiguous
+    assert np.array_equal(c_basis, f_basis)
+    assert np.array_equal(c_diag.eigenvalues, f_diag.eigenvalues)
+    assert c_diag.iterations == f_diag.iterations
