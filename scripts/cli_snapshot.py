@@ -52,7 +52,7 @@ COMMANDS = [
     # gauss.csv after row 100 reversed: rows 1-100 match ewmpca-numeric's
     ("ewmpca-tail", ["ewmpca", "gauss_tail.csv", "--alpha", "0.97"]),
     ("ewmpca-regime", ["ewmpca", "regime.csv", "--alpha", "0.95"]),
-    # p = 48: from p = 32 on, a basis's memory layout changes BLAS product bits
+    # p = 48: from p = 32 on, a basis's memory layout can change BLAS product bits
     ("ewmpca-wide", ["ewmpca", "wide.csv", "--alpha", "0.97"]),
     ("ewmpca-ml", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID]),
     ("ewmpca-ml-burn-in", ["ewmpca", "vc.csv", "--alpha", "ml", *ML_GRID, "--burn-in", "50"]),

@@ -423,8 +423,7 @@ def test_ewmpca_typical_alpha_and_zero_first_row(tmp_path):
 
 
 def test_ewmpca_rows_depend_on_earlier_rows_only(tmp_path):
-    # 400 x 9; the copy redraws rows 61-400.  A run seeded from the first 100
-    # rows changed component rows 2-60 under this edit.
+    # 400 x 9; the copy redraws rows 61-400, inside the 100 rows a seed reads
     k = 60
     data = stationary_gaussian(400, 9, seed=3)
     edited = data.copy()
