@@ -18,6 +18,8 @@ __all__ = [
     "as_vector",
     "symmetrize",
     "frobenius_norm",
+    "checked_norm",
+    "overflow_error",
     "fix_column_signs",
     "jacobi_eigh",
     "sample_covariance",
@@ -61,6 +63,24 @@ def frobenius_norm(m) -> float:
     raveled array with itself.  No finiteness check: hot path."""
     v = np.asarray(m, dtype=np.float64).ravel()
     return math.sqrt(np.dot(v, v))
+
+
+def overflow_error(what: str, m) -> OverflowError:
+    """The error for a value ``what`` that the finite entries of ``m`` overflow."""
+    return OverflowError(f"{what} overflows float64 (largest entry {np.abs(m).max():.3e}); "
+                         "rescale the data")
+
+
+def checked_norm(m: np.ndarray, name: str, where: str) -> float:
+    """||M||_F of a square float64 array, or the one refusal of the numerical core: ValueError
+    if M holds a NaN or an infinity, else OverflowError, prefixed ``where``, if ||M|| does."""
+    with np.errstate(over="ignore"):
+        norm = frobenius_norm(m)
+    if math.isfinite(norm):
+        return norm
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    raise overflow_error(f"{where}: the Frobenius norm of the {len(m)} x {len(m)} input", m)
 
 
 def fix_column_signs(v) -> np.ndarray:
@@ -112,13 +132,8 @@ def jacobi_eigh(a) -> EigenBasis:
     """
     with np.errstate(over="ignore"):
         work = symmetrize(a)
-        norm = frobenius_norm(work)
+    norm = checked_norm(work, "matrix", "Jacobi eigensolver")
     n = work.shape[0]
-    if not math.isfinite(norm):
-        raise OverflowError(
-            f"Jacobi eigensolver: the Frobenius norm of the {n} x {n} input overflows "
-            f"float64 (largest entry {np.abs(work).max():.3e}); rescale the data"
-        )
     p, q = np.moveaxis(_round_robin(n), 2, 0)
     # flat indices of the (p, p), (q, q), (p, q) and (q, p) entries, per round
     rounds = list(zip(p * (n + 1), q * (n + 1), p * n + q, q * n + p))

@@ -25,8 +25,8 @@ conservative r_ij/2 branch, and in the stopping test Frobenius is the
 stricter criterion.  Each norm is one BLAS dot product of the raveled matrix
 with itself (:func:`streampca.linalg.frobenius_norm`), and ||S - D|| is taken
 of S with lambda subtracted from its diagonal in place, so a step builds
-neither D nor a copy of S.  ``refine_to_convergence`` returns the columns in
-descending order of their eigenvalue estimates, so a warm refit keeps the
+neither D, I nor a copy of S.  ``refine_to_convergence`` returns the columns
+in descending order of their eigenvalue estimates, so a warm refit keeps the
 component order of a first fit.
 
 When delta exceeds every gap, an orthonormal Xhat gets E = 0: a false fixed
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_norm, jacobi_eigh
+from .linalg import checked_norm, frobenius_norm, jacobi_eigh
 
 __all__ = [
     "CERT_RTOL",
@@ -103,9 +103,10 @@ class RefineDiagnostics:
     eigenvalues: np.ndarray = field(compare=False)
 
 
-def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce A to float64 and Xhat to float64 in F order, the layout of every returned
-    basis; check the shapes, and that Xhat, and A unless ``check_a`` is False, are finite."""
+def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, Xhat, ||A||): A coerced to float64 and Xhat to float64 in F order, the
+    layout of every returned basis, once the shapes and the one gate of the
+    numerical core, :func:`streampca.linalg.checked_norm`, pass Xhat, then A."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asfortranarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -114,27 +115,26 @@ def _check_pair(a, xhat, check_a: bool = True) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
         )
-    if check_a:
-        _check_finite(a, "A")
-    _check_finite(xhat, "Xhat")
-    return a, xhat
+    checked_norm(xhat, "Xhat", "refinement")
+    return a, xhat, checked_norm(a, "A", "refinement")
 
 
-def _check_finite(m: np.ndarray, name: str) -> None:
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
-
-
-def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
+def _rayleigh(a: np.ndarray, xhat: np.ndarray):
     """Unchecked core of :func:`estimate_eigenvalues`: (lambda, R, S - D) for
-    float64 arrays of matching square shape, ``eye`` the identity of that size.
+    float64 arrays of matching square shape.
 
-    S - D is S with lambda subtracted from its diagonal in place; S's own
-    diagonal is not needed once lambda is formed.  The computed Xhat^T (A Xhat)
-    is symmetric only to rounding, and the wide-pair formula would divide
-    that asymmetry by gaps near its size, so S is symmetrized first.
+    R is 0 - Xhat^T Xhat with 1 added to its diagonal in place, bit for bit
+    I - Xhat^T Xhat: 0 - g is exact (+0 for g = 0) and (-g) + 1 = 1 - g.  S - D
+    is S with lambda subtracted from its diagonal in place; S's own diagonal
+    is not needed once lambda is formed.  The computed Xhat^T (A Xhat) is
+    symmetric only to rounding, and the wide-pair formula would divide that
+    asymmetry by gaps near its size, so S is symmetrized first.
     """
-    r = eye - np.dot(xhat.T, xhat)
+    p = xhat.shape[0]
+    r = np.subtract(0.0, np.dot(xhat.T, xhat))
+    # r and S are fresh C-contiguous arrays, so these strided slices are
+    # writable views of their diagonals.
+    r.reshape(-1)[:: p + 1] += 1.0
     s = np.dot(xhat.T, np.dot(a, xhat))
     s = (s + s.T) * 0.5
     denom = 1.0 - r.diagonal()
@@ -144,9 +144,7 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
             "degenerate approximate eigenvector: column "
             f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"
         )
-    # S is a fresh C-contiguous array, so this strided slice is a writable
-    # view of its diagonal.
-    s_diag = s.reshape(-1)[:: s.shape[0] + 1]
+    s_diag = s.reshape(-1)[:: p + 1]
     lam = s_diag / denom
     s_diag -= lam
     return lam, r, s
@@ -155,18 +153,17 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray):
 def estimate_eigenvalues(a, xhat) -> np.ndarray:
     """Eigenvalue estimates lambda_i = s_ii / (1 - r_ii) for a precomputed basis.
 
-    Raises ValueError when A or Xhat has a non-finite entry, or when some
-    |1 - r_ii| < 1e-14, i.e. a column of Xhat has near-zero norm and the
-    quotient is meaningless.
+    Raises ValueError when A or Xhat has a non-finite entry, OverflowError
+    when ||A|| overflows float64, and ValueError when some |1 - r_ii| < 1e-14,
+    i.e. a column of Xhat has near-zero norm and the quotient is meaningless.
     """
-    a, xhat = _check_pair(a, xhat)
-    return _rayleigh(a, xhat, np.eye(a.shape[0]))[0]
+    return _rayleigh(*_check_pair(a, xhat)[:2])[0]
 
 
-def _step(a: np.ndarray, xhat: np.ndarray, eye: np.ndarray, norm_a: float) -> np.ndarray:
+def _step(a: np.ndarray, xhat: np.ndarray, norm_a: float) -> np.ndarray:
     """One unchecked refinement step, Xhat + Xhat @ E, with ``norm_a`` = ||A||
     taken once by the caller."""
-    lam, r, s_minus_d = _rayleigh(a, xhat, eye)
+    lam, r, s_minus_d = _rayleigh(a, xhat)
     delta = 2.0 * (frobenius_norm(s_minus_d) + norm_a * frobenius_norm(r))
     if not math.isfinite(delta):
         raise ArithmeticError(
@@ -186,10 +183,9 @@ def refine_step(a, xhat) -> np.ndarray:
 
     Exactly orthonormal true eigenvectors are a fixed point (R = 0 and S
     diagonal make every entry of E vanish).  Raises ValueError when A or Xhat
-    has a non-finite entry.
+    has a non-finite entry, and OverflowError when ||A|| overflows float64.
     """
-    a, xhat = _check_pair(a, xhat)
-    return _step(a, xhat, np.eye(a.shape[0]), frobenius_norm(a))
+    return _step(*_check_pair(a, xhat))
 
 
 def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
@@ -212,29 +208,17 @@ def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
     step when ||A|| overflows float64, and ValueError when A or Xhat has a
     non-finite entry.
     """
-    # Xhat is checked here, before an infinite entry can reach a product; A
-    # only once its norm comes out non-finite, so A costs the per-row path nothing.
-    a, xhat = _check_pair(a, xhat, check_a=False)
+    a, xhat, norm_a = _check_pair(a, xhat)
     x = xhat
-    eye = np.eye(a.shape[0])
-    with np.errstate(over="ignore"):
-        norm_a = frobenius_norm(a)
-    if not math.isfinite(norm_a):
-        _check_finite(a, "A")
-        n = a.shape[0]
-        raise OverflowError(
-            f"refinement: the Frobenius norm of the {n} x {n} input overflows "
-            f"float64 (largest entry {np.abs(a).max():.3e}); rescale the data"
-        )
     steps: list[float] = []
     first, fallback = 0, False  # first: index of the current pass's first step
     while True:
-        new_x = _step(a, x, eye, norm_a)
+        new_x = _step(a, x, norm_a)
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         truncated = len(steps) - first == MAX_ITER
         if truncated or eps < TOL:
-            lam, _, s_minus_d = _rayleigh(a, new_x, eye)
+            lam, _, s_minus_d = _rayleigh(a, new_x)
             off = frobenius_norm(s_minus_d)
             if off <= CERT_RTOL * norm_a:
                 break

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streampca import refine
+from streampca import linalg, refine
 from streampca.ewmpca import EwmPCA
 from streampca.ewmstats import ewm_update
 from streampca.ipca import IteratedPCA
@@ -316,12 +316,15 @@ def test_norm_of_a_is_taken_once_per_call(monkeypatch):
             return frobenius_norm(m)
 
         with monkeypatch.context() as patch:
+            # the gate takes the norms of Xhat and A in linalg, the steps in refine
+            patch.setattr(linalg, "frobenius_norm", counting)
             patch.setattr(refine, "frobenius_norm", counting)
             out, diag = refine_to_convergence(a, x0)
         assert sum(seen) == 1
         assert not diag.fallback
-        # per step: ||S - D||, ||R|| and the step norm; then the certificate's ||S - D||
-        assert len(seen) == 2 + 3 * diag.iterations
+        # the gate's two; per step: ||S - D||, ||R|| and the step norm; then the
+        # certificate's ||S - D||
+        assert len(seen) == 3 + 3 * diag.iterations
         assert np.array_equal(out, expected)
 
 
@@ -365,6 +368,18 @@ def test_overflowing_norm_raises_before_any_warning():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="refinement: the Frobenius norm of the 5 x 5 input overflows"):
             refine_to_convergence(1e155 * a, np.eye(5))
+
+
+@pytest.mark.parametrize("kernel", [estimate_eigenvalues, refine_step])
+def test_every_kernel_entry_names_an_overflowing_norm(kernel):
+    # refine_step used to warn of an overflow in dot and then fail on a
+    # threshold delta = nan; estimate_eigenvalues returned infinities
+    a, _ = well_separated_symmetric(5, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^refinement: the Frobenius norm of the 5 x 5 "
+                           r"input overflows float64 \(largest entry .*\); rescale the data$"):
+            kernel(1e155 * a, np.eye(5))
 
 
 def test_ewm_add_names_the_overflowing_observation():
@@ -416,9 +431,9 @@ def spy_on_steps(monkeypatch, blow_up_call=None):
     seen = []
     step = refine._step
 
-    def spying(a, x, eye, norm_a):
+    def spying(a, x, norm_a):
         seen.append(x.copy())
-        return 1e7 * x if len(seen) == blow_up_call else step(a, x, eye, norm_a)
+        return 1e7 * x if len(seen) == blow_up_call else step(a, x, norm_a)
 
     monkeypatch.setattr(refine, "_step", spying)
     return seen
