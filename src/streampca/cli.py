@@ -40,6 +40,10 @@ __all__ = ["main"]
 
 _BY_PREFIX = {"year": 4, "month": 7, "day": 10}
 
+# Most decays that a --grid spec may ask for, checked before the grid is built;
+# the default grid has 500.
+MAX_GRID_POINTS = 10**5
+
 # A new component whose dot with the previous component it matches best (largest
 # |dot|) is below this counts as a sign flip (a flip is near -1).
 SIGN_FLIP_THRESHOLD = -0.5
@@ -275,7 +279,13 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec {spec!r} has a non-finite start, stop or step")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1  # inf for a tiny enough step
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid spec {spec!r} asks for {count:.3g} decays; at most {MAX_GRID_POINTS} "
+            "are scored (use a larger step)"
+        )
+    count = int(count)
     if count < 1:
         raise ValueError(f"grid spec {spec!r} produces no points")
     return start + step * np.arange(count)

@@ -11,7 +11,8 @@ average.
 Two entry points, freely interleavable: ``add`` consumes a single observation
 and returns its component row; ``add_all`` folds ``add`` over the rows of a
 matrix.  A model starts from ``initial_basis``, or else from the identity;
-``seed_initial_basis`` computes a start from the head of a matrix.
+``seed_initial_basis`` computes a start from the rows it is given, e.g. the
+head of a stream.
 
 Each refinement is certified, with at most one Jacobi rotation of S per row
 (:func:`streampca.refine.refine_to_convergence`), so pure online mode
@@ -26,19 +27,15 @@ from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
 from .linalg import as_matrix, frobenius_norm, jacobi_eigh, sample_covariance
 from .refine import DivergenceError, refine_to_convergence
 
-__all__ = ["EwmPCA", "seed_initial_basis", "DEFAULT_SEED_ROWS"]
-
-# Rows of its input that seed_initial_basis reads (p + 1 if wider).
-DEFAULT_SEED_ROWS = 100
+__all__ = ["EwmPCA", "seed_initial_basis"]
 
 
 def seed_initial_basis(x) -> np.ndarray:
-    """Initial eigenbasis from the sample covariance of the first
-    max(DEFAULT_SEED_ROWS, p + 1) rows of ``x``, or of all of them if fewer.
+    """Initial eigenbasis from the sample covariance of all rows of ``x``.
 
     Needs at least p + 1 rows so the covariance can have full rank.  Column
     signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  An
-    overflow or eigensolver failure names the rows read (``seed rows 1-k: ``).
+    overflow or eigensolver failure names the rows read (``seed rows 1-n: ``).
     """
     arr = as_matrix(x, "x")
     n, p = arr.shape
@@ -46,12 +43,11 @@ def seed_initial_basis(x) -> np.ndarray:
         raise ValueError(
             f"need at least p + 1 = {p + 1} rows to seed an initial basis, got {n}"
         )
-    k = min(max(DEFAULT_SEED_ROWS, p + 1), n)
     try:
-        _, cov = sample_covariance(arr[:k])
+        _, cov = sample_covariance(arr)
         return jacobi_eigh(cov).vectors
     except (OverflowError, RuntimeError) as err:
-        raise type(err)(f"seed rows 1-{k}: {err}") from err
+        raise type(err)(f"seed rows 1-{n}: {err}") from err
 
 
 class EwmPCA:

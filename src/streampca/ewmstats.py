@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, overflow_error
 
 __all__ = [
     "EwmState",
@@ -65,15 +65,15 @@ __all__ = [
 ]
 
 
-# Bytes that the (G, p, p) arrays of one block of decays may hold: the
-# covariances, their rank-one updates and their Cholesky factors, three at a
+# Bytes that the (G, p, p) arrays of one block of decays may hold: two
+# covariances, their rank-one updates and their Cholesky factors, four at a
 # time when a block of rows holds one row (a block always holds at least one
-# decay).  At p = 100 the default 500-value grid would need 120 MB at once;
-# it runs in blocks of 139.
+# decay).  At p = 100 the default 500-value grid would need 160 MB at once;
+# it runs in blocks of 104.
 _GRID_BLOCK_BYTES = 32 * 2**20
 
-# Bytes of covariances that one block of rows may hold (their rank-one
-# updates and Cholesky factors take as much again).  A 19-value grid at
+# Bytes of covariances that one block of rows may hold besides the one it
+# starts from (their rank-one updates and Cholesky factors take as much again).  A 19-value grid at
 # p = 9 runs 10 rows per block; a block of decays whose (G, p, p) stack
 # alone exceeds this budget runs one row per block.
 _ROW_BLOCK_BYTES = 128 * 2**10
@@ -133,7 +133,8 @@ def ewm_update(state: EwmState, x) -> EwmState:
 
     The mean moves first; the covariance's rank-one term is centred on the
     updated mean.  Both recursions preserve exact symmetry of S (outer
-    products are bit-symmetric).
+    products are bit-symmetric).  Raises OverflowError, without a numpy
+    warning, when the finite observation drives S past float64.
     """
     x = as_vector(x, "x")
     if x.shape != state.mean.shape:
@@ -141,9 +142,12 @@ def ewm_update(state: EwmState, x) -> EwmState:
             f"observation has dimension {x.shape[0]}, state has {state.mean.shape[0]}"
         )
     a = state.alpha
-    mean = (1.0 - a) * x + a * state.mean
-    d = x - mean
-    cov = (1.0 - a) * np.outer(d, d) + a * state.cov
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (1.0 - a) * x + a * state.mean
+        d = x - mean
+        cov = (1.0 - a) * np.outer(d, d) + a * state.cov
+    if not np.isfinite(cov).all():
+        raise overflow_error("moving covariance", x)
     return EwmState(alpha=a, mean=mean, cov=cov, count=state.count + 1)
 
 
@@ -230,7 +234,8 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     The mean and covariance recursions still advance one row at a time with
     ``ewm_update``'s elementwise arithmetic; only the terms that do not feed
     back, (1 - alpha) x_t, the errors and the rank-one updates, are formed
-    for the whole block at once.
+    for the whole block at once.  Finite data whose moments overflow float64
+    raise OverflowError, without a numpy warning, before the block is scored.
     """
     n, p = mat.shape
     g = alphas.shape[0]
@@ -240,34 +245,39 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     b = 1.0 - alphas[:, None]
     b3 = b[:, :, None]
     size = max(1, min(n - 1, _ROW_BLOCK_BYTES // (8 * g * p * p)))
-    # Slot r holds m_{t-1} and S_{t-1} of the block's r-th row t.  The
-    # block's last covariance update goes to slot 0 after the block is
-    # scored, so a one-row block updates its covariances in place.
+    # Slot r holds m_{t-1} and S_{t-1} of the block's r-th row t, and slot k
+    # the moments after its last row, which the next block starts from.
     means = np.empty((size + 1, g, p))
-    covs = np.zeros((size, g, p, p))
+    covs = np.zeros((size + 1, g, p, p))
     means[0] = mat[0]
     total = np.zeros(g)
     for lo in range(1, n, size):
         x = mat[lo : lo + size, None, :]  # rows t = lo + 1, ..., lo + k
         k = x.shape[0]
-        step = b * x
-        for r in range(k):
-            # (1 - alpha) x_t + alpha m_{t-1}: IEEE addition commutes
-            np.multiply(means[r], a, out=means[r + 1])
-            means[r + 1] += step[r]
-        d = x - means[1 : k + 1]
-        rank_one = d[..., :, None] * d[..., None, :]
-        rank_one *= b3
-        for r in range(k - 1):
-            np.multiply(covs[r], a3, out=covs[r + 1])
-            covs[r + 1] += rank_one[r]
         first = min(max(0, burn_in - lo), k)  # rows r >= first are scored
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = b * x
+            for r in range(k):
+                # (1 - alpha) x_t + alpha m_{t-1}: IEEE addition commutes
+                np.multiply(means[r], a, out=means[r + 1])
+                means[r + 1] += step[r]
+            d = x - means[1 : k + 1]
+            rank_one = d[..., :, None] * d[..., None, :]
+            rank_one *= b3
+            for r in range(k):
+                np.multiply(covs[r], a3, out=covs[r + 1])
+                covs[r + 1] += rank_one[r]
+            errors = x[first:] - means[first:k]
+        # a non-finite entry persists through the recursion, so the block's
+        # moments are finite if its last covariance is
+        if not np.isfinite(covs[k]).all():
+            t = lo + next(r for r in range(1, k + 1) if not np.isfinite(covs[r]).all())
+            raise overflow_error(f"observation {t}: moving covariance", mat[t - 1])
         if first < k:
-            failure = _score_rows(covs[first:k], x[first:] - means[first:k], total, tiny)
+            failure = _score_rows(covs[first:k], errors, total, tiny)
             if failure is not None:
                 return total, (lo + 1 + first + failure[0], failure[1])
-        np.multiply(covs[k - 1], a3, out=covs[0])
-        covs[0] += rank_one[k - 1]
+        covs[0] = covs[k]
         means[0] = means[k]
     return total, None
 
@@ -277,7 +287,7 @@ def _loglik_curve(mat: np.ndarray, grid: np.ndarray, burn_in: int) -> np.ndarray
     ``_GRID_BLOCK_BYTES``.  On failure raises for the earliest failing t and,
     among the decays failing there, the lowest grid index."""
     p = mat.shape[1]
-    size = max(1, _GRID_BLOCK_BYTES // (3 * 8 * p * p))
+    size = max(1, _GRID_BLOCK_BYTES // (4 * 8 * p * p))
     curve = np.empty(grid.shape[0])
     failure = None
     for lo in range(0, grid.shape[0], size):

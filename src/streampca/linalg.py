@@ -182,15 +182,20 @@ def jacobi_eigh(a) -> EigenBasis:
 
 
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized."""
+    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized.
+    Raises OverflowError, without a numpy warning, when finite data overflow it."""
     mat = as_matrix(x, "X")
-    n = mat.shape[0]
+    n, p = mat.shape
     if n < 2:
         raise ValueError(f"sample covariance needs at least 2 rows, got {n}")
-    means = mat.mean(axis=0)
-    centered = mat - means
-    q = centered.T @ centered / (n - 1)
-    return means, (q + q.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = mat.mean(axis=0)
+        centered = mat - means
+        q = centered.T @ centered / (n - 1)
+        q = (q + q.T) / 2.0
+    if not np.isfinite(q).all():
+        raise overflow_error(f"sample covariance of the {n} x {p} input", mat)
+    return means, q
 
 
 def cross_covariance(z1, z2) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_parse_grid_spec():
     for spec in ("0.5:0.9:inf", "nan:0.9:0.1", "0.5:inf:0.1"):
         with pytest.raises(ValueError, match=f"^grid spec '{spec}' has a non-finite start"):
             parse_grid_spec(spec)
+
+
+def test_parse_grid_spec_refuses_too_many_points_before_allocating(monkeypatch):
+    # a step of 1e-15 used to die allocating 7.10 PiB in np.arange
+    def no_arange(*args, **kwargs):
+        raise AssertionError("np.arange called")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(ValueError, match=r"^grid spec '0.0001:0.9999:1e-15' asks for 1e\+15 "
+                       r"decays; at most 100000 are scored"):
+        parse_grid_spec("0.0001:0.9999:1e-15")
 
 
 def test_chunk_bounds_by_year(tmp_path):
@@ -364,6 +376,37 @@ def test_ewmpca_overflow_names_the_observation(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "z.json").exists()
 
 
+OVERFLOWING_MOMENTS = [
+    (["ipca", "--chunk-spec", "chunk=20", "--output", "z.csv"],
+     "chunk 2 (rows 41-60): sample covariance of the 20 x 2 input"),
+    (["ewmpca", "--alpha", "0.9", "--output", "z.csv"], "observation 41: moving covariance"),
+    (["compare", "--alpha", "0.9", "--output-prefix", "z_"], "observation 41: moving covariance"),
+    (["estimate-alpha", "--grid", "0.9:0.95:0.01", "--burn-in", "5", "--output", "z.csv"],
+     "observation 41: moving covariance"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, where", OVERFLOWING_MOMENTS, ids=[argv[0] for argv, _ in OVERFLOWING_MOMENTS]
+)
+def test_overflowing_moments_are_named(tmp_path, capsys, monkeypatch, argv, where):
+    # 1e160 at row 41: every square, and so every moment after it, overflows.
+    # ipca and ewmpca used to warn and then name an infinite matrix, and
+    # estimate-alpha a singular covariance at t=42.
+    data = np.random.default_rng(0).standard_normal((60, 2))
+    data[40, 0] = 1e160
+    inp = write_data(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], str(inp), *argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {where} overflows float64 (largest entry 1.000e+160); rescale the data\n"
+    )
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["in.csv"]
+
+
 @pytest.mark.parametrize(
     "command, output", [("ewmpca", ["--output", "z.csv"]), ("compare", ["--output-prefix", "z_"])]
 )
@@ -373,7 +416,7 @@ def test_seed_overflow_names_the_seed_rows(tmp_path, capsys, monkeypatch, comman
     data = stationary_gaussian(600, 4, seed=5)
     data[:300] *= 1e78
     with pytest.raises(OverflowError) as err:
-        seed_initial_basis(data)
+        seed_initial_basis(data[:100])
     assert str(err.value).startswith(
         "seed rows 1-100: Jacobi eigensolver: the Frobenius norm of the 4 x 4 "
         "input overflows float64"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streampca import ewmpca, refine
-from streampca.ewmpca import DEFAULT_SEED_ROWS, EwmPCA, seed_initial_basis
+from streampca.ewmpca import EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
 from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
@@ -46,19 +46,10 @@ def test_seed_basis_passes_oracle_residual_checks():
     assert np.all(np.diff(lam) <= 0.0)
 
 
-def test_default_seed_head_is_100_rows():
-    assert DEFAULT_SEED_ROWS == 100
-    # the seed reads the first 100 rows and ignores the rest
-    x = seeded_stream(150, 3)
-    assert np.array_equal(seed_initial_basis(x), seed_initial_basis(x[:100]))
-
-
 def test_wide_input_seeds_from_p_plus_one_rows(monkeypatch):
-    # At p >= DEFAULT_SEED_ROWS the first 100 rows are too few to seed from:
-    # the seed takes p + 1 rows.
+    # At p = 100 the seed needs p + 1 rows.
     x = stationary_gaussian(102, 100, seed=1)
-    basis = seed_initial_basis(x)
-    assert np.array_equal(basis, seed_initial_basis(x[:101]))
+    basis = seed_initial_basis(x[:101])
     calls = record_refinements(monkeypatch, ewmpca)
     batch = EwmPCA(0.97, initial_basis=basis)
     z_batch = batch.add_all(x)

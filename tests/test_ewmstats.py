@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,7 +334,7 @@ def test_blocked_grid_is_bit_identical(monkeypatch):
     grid = [0.8, 0.85, 0.9, 0.95, 0.97]
     _, whole = estimate_alpha(x, grid)
     # two decays per block: blocks of 2, 2 and 1
-    monkeypatch.setattr(ewmstats, "_GRID_BLOCK_BYTES", 2 * 3 * 8 * 2 * 2)
+    monkeypatch.setattr(ewmstats, "_GRID_BLOCK_BYTES", 2 * 4 * 8 * 2 * 2)
     _, blocked = estimate_alpha(x, grid)
     assert np.array_equal(blocked, whole)
     for g, v in zip(grid, blocked):
@@ -367,6 +369,23 @@ def test_row_blocks_are_bit_identical(monkeypatch):
         # ewm_loglik is the same path with G = 1 and as many rows per block
         assert [ewm_loglik(x, g, burn_in=30) for g in grid] == curves[-1].tolist()
     assert all(np.array_equal(c, curves[0]) for c in curves[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 9, 10, 59])
+def test_overflowing_moment_is_named_at_its_observation(monkeypatch, rows):
+    # 1e160 at row 41: its likelihood term and every moment from S_41 on
+    # overflow.  With 10 rows per block, row 41 closes a block, whose check
+    # must already see S_41.  This used to warn and then report a singular
+    # covariance at t = 42.
+    x = np.random.default_rng(0).standard_normal((60, 2))
+    x[40, 0] = 1e160
+    grid = [0.9, 0.95]
+    rows_per_block(monkeypatch, rows, len(grid), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^observation 41: moving covariance overflows "
+                           r"float64 \(largest entry 1.000e\+160\); rescale the data$"):
+            estimate_alpha(x, grid, burn_in=5)
 
 
 def rank_drop():

@@ -255,6 +255,15 @@ def test_sample_covariance_matches_brute_force():
     assert np.max(np.abs(q - brute)) <= 1e-12
 
 
+def test_sample_covariance_names_an_overflowing_moment():
+    # the product used to warn of an overflow in matmul and return infinities
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^sample covariance of the 3 x 2 input overflows "
+                           r"float64 \(largest entry 1.000e\+160\); rescale the data$"):
+            sample_covariance([[1.0, 2.0], [1e160, 3.0], [5.0, 6.0]])
+
+
 def test_sample_covariance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2 rows"):
         sample_covariance([[1.0, 2.0]])

@@ -400,9 +400,12 @@ def test_ewm_add_names_the_observation_whose_covariance_is_infinite():
     model = EwmPCA(0.97)
     for row in x[:30]:
         model.add(row)
-    # the covariance's outer product overflows to inf inside ewm_update
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=r"^observation 31: A contains non-finite entries$"):
+    # the covariance's outer product overflows inside ewm_update, which used
+    # to warn and hand an infinite A to the kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^observation 31: moving covariance overflows "
+                           r"float64 \(largest entry .*\); rescale the data$"):
             model.add(x[30])
 
 

@@ -52,6 +52,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
+    assert len(cases) == 42
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists() and (out / f"{case}.stderr").exists()
@@ -59,6 +60,12 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "compare-ml_run.json").stat().st_size > 0
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
     assert (out / "error-ewmpca-overflow-head.stderr").read_text().startswith("error: observation 2:")
+    # each refusal is one line: the named error, no numpy warning before it
+    for case in ("ipca", "ewmpca", "estimate-alpha"):
+        err = (out / f"error-{case}-overflow-moment.stderr").read_text()
+        assert err.count("\n") == 1 and " overflows float64 " in err
+    fine = (out / "error-estimate-alpha-fine-grid.stderr").read_text()
+    assert fine.startswith("error: grid spec '0.0001:0.9999:1e-15' asks for 1e+15 decays")
     # causal: the header and rows 1-100 do not depend on the reversed tail
     numeric, tail = ((out / f"{case}.csv").read_bytes().splitlines() for case in
                      ("ewmpca-numeric", "ewmpca-tail"))
