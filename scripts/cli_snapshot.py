@@ -2,8 +2,8 @@
 
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
-text edits (timestamps, overflowing halves, a tail in reverse order, a
-rank-one table).  Two derived tables are not plain, so that
+text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
+order, a rank-one table).  Two derived tables are not plain, so that
 they take the ``csv`` row reader where the others take numpy's: one has
 quoted timestamps that hold a comma, one LF line ends and blank lines.  Every
 command runs in OUTDIR with relative paths, so the files it writes, and the
@@ -75,9 +75,17 @@ COMMANDS = [
     # the first refinement, at observation 2, overflows
     ("error-ewmpca-overflow-head", ["ewmpca", "overflow_head.csv", "--alpha", "0.97"]),
     ("error-compare-overflow-head", ["compare", "overflow_head.csv", "--alpha", "0.97"]),
+    # 1e160 in row 41: the moments overflow, named before any numpy warning
+    ("error-ipca-overflow-moment", ["ipca", "overflow_moment.csv", "--chunk-spec", "chunk=100"]),
+    ("error-ewmpca-overflow-moment", ["ewmpca", "overflow_moment.csv", "--alpha", "0.97"]),
+    ("error-estimate-alpha-overflow-moment", ["estimate-alpha", "overflow_moment.csv", *ML_GRID,
+                                              "--burn-in", "20"]),
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
     ("error-estimate-alpha-inf-step", ["estimate-alpha", "vc.csv", "--grid", "0.5:0.9:inf"]),
+    # 1e15 decays: refused before the grid is built
+    ("error-estimate-alpha-fine-grid", ["estimate-alpha", "vc.csv", "--grid",
+                                        "0.0001:0.9999:1e-15"]),
     ("error-estimate-alpha-short", ["estimate-alpha", "short.csv"]),
     ("error-ewmpca-ml-short", ["ewmpca", "short.csv", "--alpha", "ml"]),
     ("error-estimate-alpha-singular", ["estimate-alpha", "rank_one.csv", *ML_GRID,
@@ -136,6 +144,8 @@ def derive_inputs(outdir: Path) -> None:
     for name, table in (("overflow_head", scaled[:half] + rows[half:]),
                         ("overflow_tail", rows[:half] + scaled[half:])):
         (outdir / f"{name}.csv").write_text("\r\n".join([header, *table]) + "\r\n", newline="")
+    moment = [header, *rows[:40], "1e160," + rows[40].partition(",")[2], *rows[41:]]
+    (outdir / "overflow_moment.csv").write_text("\r\n".join(moment) + "\r\n", newline="")
     rank_one = ["x1,x2"] + [f"{t},{2 * t}" for t in range(1, 61)]
     (outdir / "rank_one.csv").write_text("\r\n".join(rank_one) + "\r\n", newline="")
 
