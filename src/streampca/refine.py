@@ -132,19 +132,20 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray):
     """
     p = xhat.shape[0]
     r = np.subtract(0.0, np.dot(xhat.T, xhat))
-    # r and S are fresh C-contiguous arrays, so these strided slices are
-    # writable views of their diagonals.
-    r.reshape(-1)[:: p + 1] += 1.0
+    # r and S are fresh C-contiguous arrays, so these strided slices of their
+    # ravel() views are writable views of their diagonals.
+    r_diag = r.ravel()[:: p + 1]
+    r_diag += 1.0
     s = np.dot(xhat.T, np.dot(a, xhat))
     s = (s + s.T) * 0.5
-    denom = 1.0 - r.diagonal()
+    denom = 1.0 - r_diag
     # initial=inf: a 0 x 0 input has no column to reject
     if abs(denom).min(initial=np.inf) < 1e-14:
         raise ValueError(
             "degenerate approximate eigenvector: column "
             f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"
         )
-    s_diag = s.reshape(-1)[:: p + 1]
+    s_diag = s.ravel()[:: p + 1]
     lam = s_diag / denom
     s_diag -= lam
     return lam, r, s
