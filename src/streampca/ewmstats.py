@@ -73,9 +73,9 @@ __all__ = [
 _GRID_BLOCK_BYTES = 32 * 2**20
 
 # Bytes of covariances that one block of rows may hold besides the one it
-# starts from (their rank-one updates and Cholesky factors take as much again).  A 19-value grid at
-# p = 9 runs 10 rows per block; a block of decays whose (G, p, p) stack
-# alone exceeds this budget runs one row per block.
+# starts from (their rank-one updates and Cholesky factors take as much
+# again).  A 19-value grid at p = 9 runs 10 rows per block; a block of decays
+# whose (G, p, p) stack alone exceeds this budget runs one row per block.
 _ROW_BLOCK_BYTES = 128 * 2**10
 
 
@@ -351,7 +351,9 @@ def estimate_alpha(
     full likelihood curve in grid order.  All decays are scored in one pass
     over the rows (see ``ewm_loglik``); if any covariance is singular, the
     error names the earliest failing observation and, among the decays that
-    fail there, the one with the lowest grid index.
+    fail there, the one with the lowest grid index.  Finite data whose
+    moments overflow float64 raise OverflowError naming the observation,
+    ahead of any singular covariance in its block of rows.
     """
     mat = as_matrix(x, "X")
     grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)

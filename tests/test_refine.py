@@ -373,7 +373,8 @@ def test_overflowing_norm_raises_before_any_warning():
 @pytest.mark.parametrize("kernel", [estimate_eigenvalues, refine_step])
 def test_every_kernel_entry_names_an_overflowing_norm(kernel):
     # refine_step used to warn of an overflow in dot and then fail on a
-    # threshold delta = nan; estimate_eigenvalues returned infinities
+    # threshold delta = nan; estimate_eigenvalues accepted what the other
+    # entries refuse
     a, _ = well_separated_symmetric(5, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
