@@ -13,8 +13,8 @@ The ``refine`` table replays two inputs built from the generators of
 
 - ewm p=9: the 2800 timed rows of the ``ewm-online`` stream.  Each row hands
   the kernel the EWM covariance after that row and the basis the previous
-  row returned, as ``EwmPCA.add`` does; both sides start from the same
-  basis, warmed up over the stream's first 100 rows.
+  row returned, as ``EwmPCA.add`` does; both sides start from the basis of
+  the benchmark's own warmed-up model (``workloads.EwmOnline``).
 - ipca p=12: the days of the ``ipca-csv`` input at seed 1.  Each day
   after the first hands the kernel its sample covariance and the previous
   day's basis, as ``IteratedPCA.fit`` does; the first day is fitted by
@@ -56,7 +56,6 @@ import numpy as np  # noqa: E402
 
 import streampca  # noqa: E402
 import workloads  # noqa: E402
-from streampca.ewmpca import EwmPCA, seed_initial_basis  # noqa: E402
 from streampca.ewmstats import ewm_update  # noqa: E402
 from streampca.linalg import jacobi_eigh, sample_covariance  # noqa: E402
 from streampca.synth import stationary_gaussian  # noqa: E402
@@ -131,15 +130,10 @@ def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> d
 
 def ewm_replay():
     """(covariances, starting basis) of the ewm-online timed rows."""
-    w = workloads
-    x = w.geometric_gaussian(
-        np.random.default_rng(w.EWM_STREAM_SEED), w.EWM_WARMUP_ROWS + w.EWM_ROWS, w.EWM_P
-    )
-    head = x[: w.EWM_WARMUP_ROWS]
-    model = EwmPCA(w.EWM_ALPHA, initial_basis=seed_initial_basis(head))
-    model.add_all(head)
+    online = workloads.EwmOnline(0, None)  # its stream does not depend on the seed
+    model = online.starts[0]
     state, covs = model.state, []
-    for row in x[w.EWM_WARMUP_ROWS :]:
+    for row in online.x[workloads.EWM_WARMUP_ROWS :]:
         state = ewm_update(state, row)
         covs.append(state.cov)
     return covs, model.basis

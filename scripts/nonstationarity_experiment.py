@@ -3,29 +3,26 @@
 Generates regime-switching data, tracks the exponentially weighted moving
 covariance along the stream, and reports how far it drifts from the
 whole-sample covariance (the global estimate an ordinary PCA would use).
-Then runs EWMPCA against classical PCA on the same data and writes their
-component cross-covariance and cross-correlation matrices.
+Then writes the data as ``regime_switch.csv`` and runs ``streampca compare``
+on it: EWMPCA against classical PCA, their component cross-covariance and
+cross-correlation matrices and the ``run.json`` sidecar.
 
 Usage: python scripts/nonstationarity_experiment.py --rows 3000 --cols 4 \
            --switch-points 1000,2000 --alpha 0.97 --output-dir OUT
 """
 
 import argparse
+import json
 import os
+import sys
 
 import numpy as np
 
-from streampca.ewmpca import EwmPCA
+from streampca import cli
 from streampca.ewmstats import ewm_init, ewm_update
-from streampca.ipca import IteratedPCA
-from streampca.linalg import (
-    cross_correlation,
-    cross_covariance,
-    frobenius_norm,
-    sample_covariance,
-)
+from streampca.linalg import frobenius_norm, sample_covariance
 from streampca.synth import regime_switch
-from streampca.tableio import ObservationTable, write_labeled_matrix, write_table
+from streampca.tableio import ObservationTable, write_table
 
 
 def main():
@@ -58,29 +55,24 @@ def main():
         f"{distances[100:].min():.3f}"
     )
 
-    z_classic = IteratedPCA().fit_transform(x)
-    z_moving = EwmPCA(args.alpha).add_all(x)  # pure online, from the identity
-    corr = cross_correlation(z_classic, z_moving)
-    off = np.abs(corr[~np.eye(args.cols, dtype=bool)])
-    print(f"classical-vs-EWMPCA crosscorrelation: max |offdiag| {off.max():.3f}")
-
     os.makedirs(args.output_dir, exist_ok=True)
     write_table(
         os.path.join(args.output_dir, "covariance_distance.csv"),
         ObservationTable(["distance"], distances[:, None]),
     )
-    rows = [f"PC{j + 1}" for j in range(args.cols)]
-    cols = [f"EWMPC{j + 1}" for j in range(args.cols)]
-    write_labeled_matrix(
-        os.path.join(args.output_dir, "crosscovariance.csv"),
-        cross_covariance(z_classic, z_moving), rows, cols, corner="component",
-    )
-    write_labeled_matrix(
-        os.path.join(args.output_dir, "crosscorrelation.csv"),
-        corr, rows, cols, corner="component",
-    )
+    # the table's 17 significant digits read back as the same doubles
+    table = os.path.join(args.output_dir, "regime_switch.csv")
+    write_table(table, ObservationTable([f"x{j + 1}" for j in range(args.cols)], x))
+    prefix = os.path.join(args.output_dir, "")
+    code = cli.main(["compare", table, "--alpha", repr(args.alpha), "--output-prefix", prefix])
+    if code:
+        return code
+    with open(f"{prefix}run.json") as fh:
+        off = json.load(fh)["diagnostics"]["max_abs_offdiag_crosscorr"]
+    print(f"classical-vs-EWMPCA crosscorrelation: max |offdiag| {off:.3f}")
     print(f"wrote plot-ready CSVs to {args.output_dir}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,7 +24,6 @@ from .linalg import (
     frobenius_norm,
     jacobi_eigh,
     sample_covariance,
-    symmetrize,
 )
 from .refine import (
     DivergenceError,
@@ -59,5 +58,4 @@ __all__ = [
     "refine_to_convergence",
     "sample_covariance",
     "seed_initial_basis",
-    "symmetrize",
 ]

@@ -25,7 +25,7 @@ from . import synth
 from .ewmpca import EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
-from .linalg import cross_correlation, cross_covariance
+from .linalg import cross_statistics
 from .refine import DivergenceError
 from .tableio import (
     ObservationTable,
@@ -311,8 +311,7 @@ def cmd_compare(args) -> None:
     alpha, ml, model, z_moving = _run_ewm(args, table.data)
     pca = IteratedPCA()
     z_classic = pca.fit_transform(table.data)
-    cov = cross_covariance(z_classic, z_moving)
-    corr = cross_correlation(z_classic, z_moving)
+    cov, corr = cross_statistics(z_classic, z_moving)
     p = cov.shape[0]
     rows = _pc_names(p)
     cols = _pc_names(p, prefix="EWMPC")

@@ -16,15 +16,13 @@ __all__ = [
     "EigenBasis",
     "as_matrix",
     "as_vector",
-    "symmetrize",
     "frobenius_norm",
     "checked_norm",
     "overflow_error",
     "fix_column_signs",
     "jacobi_eigh",
     "sample_covariance",
-    "cross_covariance",
-    "cross_correlation",
+    "cross_statistics",
 ]
 
 
@@ -47,15 +45,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def symmetrize(a) -> np.ndarray:
-    """(A + A^T)/2 for square A.  IEEE addition commutes, so the result is
-    bit-identical whether built from A or A^T."""
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    return (arr + arr.T) / 2.0
 
 
 def frobenius_norm(m) -> float:
@@ -127,12 +116,19 @@ def jacobi_eigh(a) -> EigenBasis:
     W <- J^T W J and V <- V J.  Sweeps stop once the off-diagonal Frobenius mass
     is below 1e-13 * max(1, ||A||_F), leaving ||A V - V diag(values)||_F well
     under 1e-12 * max(1, ||A||_F).  Column signs are pinned by ``fix_column_signs``;
-    fixed order, no randomness.  Raises OverflowError if ||A||_F overflows float64
-    (the stop test would pass at once), RuntimeError after ``MAX_SWEEPS`` sweeps.
+    fixed order, no randomness.  The raw A passes the kernel's gate,
+    ``checked_norm``: ValueError for a NaN or an infinity, OverflowError if ||A||_F
+    overflows float64 (the stop test would pass at once).  Sweeps run on
+    (A + A^T)/2, which IEEE addition makes bit-identical for A and A^T, and
+    cannot overflow once ||A||_F is finite.  RuntimeError after ``MAX_SWEEPS``
+    sweeps.
     """
-    with np.errstate(over="ignore"):
-        work = symmetrize(a)
-    norm = checked_norm(work, "matrix", "Jacobi eigensolver")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
+    checked_norm(a, "matrix", "Jacobi eigensolver")
+    work = (a + a.T) / 2.0
+    norm = frobenius_norm(work)
     n = work.shape[0]
     p, q = np.moveaxis(_round_robin(n), 2, 0)
     # flat indices of the (p, p), (q, q), (p, q) and (q, p) entries, per round
@@ -198,22 +194,21 @@ def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
     return means, q
 
 
-def cross_covariance(z1, z2) -> np.ndarray:
-    """Column-by-column covariance between two component series (n-1 divisor)."""
+def cross_statistics(z1, z2) -> tuple[np.ndarray, np.ndarray]:
+    """Column-by-column covariance (n-1 divisor) and correlation between two
+    component series of one (n >= 2, p) shape."""
     z1 = np.asarray(z1, dtype=np.float64)
     z2 = np.asarray(z2, dtype=np.float64)
     if z1.shape != z2.shape or z1.ndim != 2 or z1.shape[0] < 2:
         raise ValueError("component series must share a (n >= 2, p) shape")
+    n1 = z1.shape[0] - 1
     c1 = z1 - z1.mean(axis=0)
     c2 = z2 - z2.mean(axis=0)
-    return c1.T @ c2 / (z1.shape[0] - 1)
-
-
-def cross_correlation(z1, z2) -> np.ndarray:
-    """Column-by-column correlation between two component series."""
-    cov = cross_covariance(z1, z2)
-    s1 = np.sqrt(np.diag(cross_covariance(z1, z1)))
-    s2 = np.sqrt(np.diag(cross_covariance(z2, z2)))
+    cov = c1.T @ c2 / n1
+    # The variances multiply a second centred copy: c.T @ c of a single array
+    # takes BLAS's syrk path, whose last bits differ from this gemm product.
+    s1 = np.sqrt(np.diag(c1.T @ (z1 - z1.mean(axis=0)) / n1))
+    s2 = np.sqrt(np.diag(c2.T @ (z2 - z2.mean(axis=0)) / n1))
     if np.any(s1 == 0.0) or np.any(s2 == 0.0):
         raise ValueError("zero-variance component: correlation undefined")
-    return cov / np.outer(s1, s2)
+    return cov, cov / np.outer(s1, s2)

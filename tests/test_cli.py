@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from streampca.cli import chunk_bounds, main, parse_chunk_spec, parse_grid_spec
-from streampca.ewmpca import seed_initial_basis
+from streampca.ewmpca import EwmPCA, seed_initial_basis
 from streampca.ipca import IteratedPCA
-from streampca.linalg import cross_correlation, cross_covariance
+from streampca.linalg import cross_statistics
 from streampca.refine import RecoveryError, refine_to_convergence
-from streampca.synth import regime_switch, stationary_gaussian
+from streampca.synth import regime_switch, stationary_gaussian, volatility_cluster
 from streampca.tableio import ObservationTable, read_table, write_table
 
 
@@ -126,7 +126,7 @@ def test_bad_timestamp_names_its_line_after_blank_lines(tmp_path, capsys):
 def test_cross_correlation_of_pca_with_itself_is_identity():
     x = stationary_gaussian(400, 4, seed=2)
     z = IteratedPCA().fit_transform(x)
-    corr = cross_correlation(z, z)
+    _, corr = cross_statistics(z, z)
     assert np.max(np.abs(corr - np.eye(4))) <= 1e-10
 
 
@@ -134,9 +134,42 @@ def test_cross_covariance_matches_manual():
     rng = np.random.default_rng(3)
     z1 = rng.standard_normal((50, 2))
     z2 = rng.standard_normal((50, 2))
-    cov = cross_covariance(z1, z2)
+    cov, _ = cross_statistics(z1, z2)
     manual = np.cov(np.hstack([z1, z2]).T)[:2, 2:]
     assert np.max(np.abs(cov - manual)) <= 1e-12
+
+
+def separate_cross_statistics(z1, z2):
+    """Covariance and correlation as two functions formed them, each product
+    of two separately centred copies."""
+
+    def covariance(a, b):
+        return (a - a.mean(axis=0)).T @ (b - b.mean(axis=0)) / (a.shape[0] - 1)
+
+    cov = covariance(z1, z2)
+    s1 = np.sqrt(np.diag(covariance(z1, z1)))
+    s2 = np.sqrt(np.diag(covariance(z2, z2)))
+    return cov, cov / np.outer(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "x, alpha",
+    [
+        (stationary_gaussian(600, 4, seed=1), 0.97),
+        (volatility_cluster(600, 4, seed=3), 0.95),
+        (regime_switch(600, 3, [300], seed=11), 0.97),
+        (regime_switch(3000, 4, [1000, 2000], seed=11), 0.97),
+    ],
+    ids=["gaussian", "volatility-cluster", "regime-600", "regime-3000"],
+)
+def test_cross_statistics_are_bit_identical_to_separate_products(x, alpha):
+    # compare's two series; a single c.T @ c would take BLAS's syrk path
+    z_classic = IteratedPCA().fit_transform(x)
+    z_moving = EwmPCA(alpha).add_all(x)
+    cov, corr = cross_statistics(z_classic, z_moving)
+    expected_cov, expected_corr = separate_cross_statistics(z_classic, z_moving)
+    assert np.array_equal(cov, expected_cov)
+    assert np.array_equal(corr, expected_corr)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from streampca.linalg import (
     frobenius_norm,
     jacobi_eigh,
     sample_covariance,
-    symmetrize,
 )
+from streampca.refine import estimate_eigenvalues
 
 from conftest import well_separated_symmetric
 
@@ -52,21 +52,6 @@ def test_as_matrix_rejects_1d():
 def test_as_vector_rejects_inf():
     with pytest.raises(ValueError, match="non-finite"):
         as_vector([np.inf])
-
-
-def test_symmetrize_rejects_rectangular():
-    with pytest.raises(ValueError, match="square"):
-        symmetrize(np.ones((2, 3)))
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(1, 12))
-@settings(max_examples=50)
-def test_symmetrize_transpose_bit_identical(seed, dim):
-    m = np.random.default_rng(seed).standard_normal((dim, dim))
-    a = symmetrize(m)
-    b = symmetrize(m.T)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +137,52 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
     a, _ = well_separated_symmetric(6, seed=9)
     with pytest.raises(RuntimeError, match="did not converge"):
         jacobi_eigh(a)
+
+
+def test_jacobi_finite_input_with_overflowing_norm_is_named():
+    # (A + A^T)/2 of this finite A used to overflow first and be refused as non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            OverflowError,
+            match=r"^Jacobi eigensolver: the Frobenius norm of the 2 x 2 input overflows",
+        ):
+            jacobi_eigh(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+        np.full((2, 2), 1e308),
+        1e155 * np.eye(3),
+        np.ones((2, 3)),
+        np.ones(3),
+    ],
+    ids=["nan", "inf", "overflowing-entries", "overflowing-norm", "rectangular", "1-d"],
+)
+def test_jacobi_and_the_kernel_refuse_the_same_raw_matrix(a):
+    with pytest.raises((ValueError, OverflowError)) as jacobi:
+        jacobi_eigh(a)
+    with pytest.raises((ValueError, OverflowError)) as kernel:
+        estimate_eigenvalues(a, np.eye(len(a)))
+    assert type(jacobi.value) is type(kernel.value)
+
+
+def test_jacobi_rejects_a_rectangular_or_empty_matrix():
+    for a in (np.ones((2, 3)), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            jacobi_eigh(a)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 12))
+@settings(max_examples=50, deadline=None)
+def test_jacobi_of_the_transpose_is_bit_identical(seed, dim):
+    # sweeps run on (A + A^T)/2, the same bits for A and A^T
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    a, b = jacobi_eigh(m), jacobi_eigh(m.T)
+    assert np.array_equal(a.vectors, b.vectors) and np.array_equal(a.values, b.values)
 
 
 def test_jacobi_overflowing_norm_raises_before_any_warning():

@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from streampca.ewmpca import EwmPCA, seed_initial_basis
+from streampca.ewmstats import ewm_update
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,7 +22,13 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "nonstationarity_experiment.py",
             ["--rows", "600", "--cols", "3", "--switch-points", "300"],
-            ["covariance_distance.csv", "crosscovariance.csv", "crosscorrelation.csv"],
+            [
+                "covariance_distance.csv",
+                "regime_switch.csv",
+                "crosscovariance.csv",
+                "crosscorrelation.csv",
+                "run.json",
+            ],
         ),
         (
             "sign_stability_experiment.py",
@@ -76,6 +86,26 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert sidecar["diagnostics"]["fallback_chunks"] == [3, 4]
     removed = {"--reseed", "--warmup", "--max-iter", "--tol"}
     assert all(removed.isdisjoint(argv) for _, argv in snapshot.COMMANDS)
+
+
+def test_kernel_timing_replays_from_the_benchmark_model():
+    spec = importlib.util.spec_from_file_location("kernel_timing", ROOT / "scripts" / "kernel_timing.py")
+    timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timing)
+    covs, start = timing.ewm_replay()
+    w = timing.workloads
+    online = w.EwmOnline(0, None)
+    # the model as seeded and warmed up from scratch, outside the benchmark
+    head = online.x[: w.EWM_WARMUP_ROWS]
+    rebuilt = EwmPCA(w.EWM_ALPHA, initial_basis=seed_initial_basis(head))
+    rebuilt.add_all(head)
+    for model in (online.starts[0], rebuilt):
+        assert np.array_equal(start, model.basis)
+        assert model.observation_count == w.EWM_WARMUP_ROWS
+    assert np.array_equal(online.starts[0].state.mean, rebuilt.state.mean)
+    assert np.array_equal(online.starts[0].state.cov, rebuilt.state.cov)
+    assert len(covs) == w.EWM_ROWS
+    assert np.array_equal(covs[0], ewm_update(rebuilt.state, online.x[w.EWM_WARMUP_ROWS]).cov)
 
 
 def run_kernel_timing(*args):
