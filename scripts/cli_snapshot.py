@@ -3,7 +3,7 @@
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
-order, a rank-one table).  Two derived tables are not plain, so that
+order, a rank-one table, small noise ending in a 1e150 outlier).  Two derived tables are not plain, so that
 they take the ``csv`` row reader where the others take numpy's: one has
 quoted timestamps that hold a comma, one LF line ends and blank lines.  Every
 command runs in OUTDIR with relative paths, so the files it writes, and the
@@ -40,6 +40,7 @@ SYNTH = [
                        "--switch-points", "1500", "--seed", "7", "--output", "regime9.csv"]),
 ]
 ML_GRID = ["--grid", "0.9:0.99:0.01"]
+TERM_FIT = ["--grid", "0.9:0.95:0.05", "--burn-in", "5"]
 # (case, argv); the cases named error-* are expected to exit 1
 COMMANDS = [
     ("ipca-chunk200", ["ipca", "gauss.csv", "--chunk-spec", "chunk=200"]),
@@ -90,6 +91,10 @@ COMMANDS = [
     ("error-ewmpca-ml-short", ["ewmpca", "short.csv", "--alpha", "ml"]),
     ("error-estimate-alpha-singular", ["estimate-alpha", "rank_one.csv", *ML_GRID,
                                        "--burn-in", "5"]),
+    # the 1e150 outlier in row 60 overflows its likelihood term, not the moments
+    ("error-estimate-alpha-overflow-term", ["estimate-alpha", "overflow_term.csv", *TERM_FIT]),
+    ("error-ewmpca-ml-overflow-term", ["ewmpca", "overflow_term.csv", "--alpha", "ml",
+                                       *TERM_FIT]),
     # alpha = 0.5 is too low for 48 columns: alpha^p < p eps
     ("error-estimate-alpha-wide", ["estimate-alpha", "wide.csv", "--grid", "0.5:0.9:0.4",
                                    "--burn-in", "60"]),
@@ -148,6 +153,10 @@ def derive_inputs(outdir: Path) -> None:
     (outdir / "overflow_moment.csv").write_text("\r\n".join(moment) + "\r\n", newline="")
     rank_one = ["x1,x2"] + [f"{t},{2 * t}" for t in range(1, 61)]
     (outdir / "rank_one.csv").write_text("\r\n".join(rank_one) + "\r\n", newline="")
+    # 60 rows of the first two columns scaled by 1e-5, the last x1 replaced by 1e150
+    small = [",".join(f"{float(v) * 1e-5:.17g}" for v in row.split(",")[:2]) for row in rows[:60]]
+    term = ["x1,x2", *small[:59], "1e150," + small[59].partition(",")[2]]
+    (outdir / "overflow_term.csv").write_text("\r\n".join(term) + "\r\n", newline="")
 
 
 def main(argv=None) -> int:

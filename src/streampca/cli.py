@@ -204,17 +204,6 @@ def cmd_ipca(args) -> None:
     )
 
 
-def _iteration_summary(counts: list[int]) -> dict:
-    if not counts:
-        return {"refinements": 0, "min": None, "max": None, "mean": None}
-    return {
-        "refinements": len(counts),
-        "min": int(min(counts)),
-        "max": int(max(counts)),
-        "mean": float(np.mean(counts)),
-    }
-
-
 def _fit_alpha(args, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int]:
     """ML decay over --grid (default grid) with --burn-in: (grid, argmax, curve,
     the burn-in the fit used, 10 x p when --burn-in is left out)."""
@@ -263,7 +252,7 @@ def cmd_ewmpca(args) -> None:
         eigenvalues=None if final is None else final.tolist(),
         iterations={
             "observations": int(model.observation_count),
-            **_iteration_summary(model.iteration_counts),
+            **model.iteration_summary(),
         },
         diagnostics={"ml": ml},
     )
@@ -330,7 +319,7 @@ def cmd_compare(args) -> None:
         _pick(args, *_EWM_PARAMS),
         alpha=alpha,
         eigenvalues=pca.explained_variance_.tolist(),
-        iterations=_iteration_summary(model.iteration_counts),
+        iterations=model.iteration_summary(),
         diagnostics=diagnostics,
     )
     _info(f"compare: wrote {prefix}crosscovariance.csv and {prefix}crosscorrelation.csv")

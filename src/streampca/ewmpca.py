@@ -65,8 +65,10 @@ class EwmPCA:
 
     Attributes
     ----------
-    iteration_counts : refinement steps taken for each observation after
-        the first
+    iterations_total, iterations_min, iterations_max : refinement steps
+        summed over the observations after the first, and the fewest and
+        most that one of them took (None before the second observation);
+        :meth:`iteration_summary` adds their count and mean
     truncation_count : observations whose refinement stopped, certified, at
         its fixed step cap (see :func:`streampca.refine.refine_to_convergence`)
     fallback_count : observations whose refinement took its Jacobi rotation
@@ -79,15 +81,19 @@ class EwmPCA:
             basis = as_matrix(initial_basis, "initial_basis")
             if basis.shape[0] != basis.shape[1]:
                 raise ValueError("initial basis must be square")
-            drift = frobenius_norm(basis.T @ basis - np.eye(basis.shape[0]))
-            if drift > 1e-3:
+            # entries past about 1e154 overflow W^T W: drift is then inf or NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift = frobenius_norm(basis.T @ basis - np.eye(basis.shape[0]))
+            if not drift <= 1e-3:
                 raise ValueError(
                     f"initial basis is not near-orthonormal (||W^T W - I||_F = {drift:.3e})"
                 )
             self._basis = basis.copy(order="F")
         self._ewm: EwmState | None = None
         self._eigenvalues: np.ndarray | None = None
-        self.iteration_counts: list[int] = []
+        self.iterations_total = 0
+        self.iterations_min: int | None = None
+        self.iterations_max: int | None = None
         self.truncation_count = 0
         self.fallback_count = 0
 
@@ -110,6 +116,17 @@ class EwmPCA:
         as the last refinement returned them; None before the second
         observation."""
         return self._eigenvalues
+
+    def iteration_summary(self) -> dict:
+        """Refinements so far (one per observation after the first), and the
+        fewest, most and mean steps per refinement (None before the first)."""
+        refinements = max(0, self.observation_count - 1)
+        return {
+            "refinements": refinements,
+            "min": self.iterations_min,
+            "max": self.iterations_max,
+            "mean": self.iterations_total / refinements if refinements else None,
+        }
 
     def add(self, x) -> np.ndarray:
         """Consume one observation, return its principal-component row.
@@ -141,7 +158,14 @@ class EwmPCA:
         self._ewm = state
         self._basis = basis
         self._eigenvalues = diagnostics.eigenvalues
-        self.iteration_counts.append(diagnostics.iterations)
+        steps = diagnostics.iterations
+        self.iterations_total += steps
+        if count == 2:  # the first refinement
+            self.iterations_min = self.iterations_max = steps
+        elif steps < self.iterations_min:
+            self.iterations_min = steps
+        elif steps > self.iterations_max:
+            self.iterations_max = steps
         self.truncation_count += diagnostics.truncated
         self.fallback_count += diagnostics.fallback
         return centered @ basis

@@ -43,10 +43,15 @@ means that Cholesky fails or that some pivot of the factor L that it does
 return has diag(L)_i^2 <= p eps S_ii.  Cholesky alone fails on a
 rank-deficient S only when rounding drives a pivot to zero or below, so
 the relative test makes the failing observation independent of rounding.
+A sum of terms that overflows float64, as one far outlier's
+e^T S^-1 e can, raises OverflowError with the observation and decay named
+the same way, in the same order as singular covariances.  The check runs
+once per block of rows, on the running sums of the block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -191,36 +196,49 @@ def _forward_substitute(chol: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.T)
 
 
+def _terms(covs: np.ndarray, errors: np.ndarray, tiny: float):
+    """ln det S + |L^{-1} e|^2 of each covariance of the (..., p, p) stack
+    ``covs`` and error of the (..., p) stack ``errors``, and whether that
+    covariance is singular; raises LinAlgError where Cholesky fails.  An
+    overflowing term comes back non-finite, without a numpy warning."""
+    chol = np.linalg.cholesky(covs)
+    diag_l = np.diagonal(chol, axis1=-2, axis2=-1)
+    singular = _small_pivots(diag_l, covs, tiny).any(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _forward_substitute(chol, errors)
+        # each sum runs along a contiguous axis of length p, whatever the stack
+        terms = 2.0 * np.log(diag_l).sum(axis=-1) + (y * y).sum(axis=-1).reshape(singular.shape)
+    return terms, singular
+
+
 def _score_rows(covs: np.ndarray, errors: np.ndarray, total: np.ndarray, tiny: float):
     """Add ln det S + |L^{-1} e|^2 of each stashed row to ``total``, in row
     order, from one Cholesky call on the (R, G, p, p) stack ``covs`` and the
     (R, G, p) stack ``errors``.
 
-    Returns None, or (row, decay) of the first covariance in row-major order
-    that is singular (see the module docstring), with ``total`` then partial.
+    Returns None, or (row, decay, singular) of the first term in row-major
+    order whose covariance is singular (see the module docstring) or after
+    which the sum overflows float64, with ``total`` then left as it was.
     """
     try:
-        chol = np.linalg.cholesky(covs)
+        terms, singular = _terms(covs, errors, tiny)
     except np.linalg.LinAlgError:
-        # cold path: name the first covariance that fails either test
+        # cold path: one covariance at a time; a failed factorization is singular
+        terms = np.zeros(covs.shape[:2])
+        singular = np.ones(covs.shape[:2], dtype=bool)
         for i, k in np.ndindex(covs.shape[:2]):
-            try:
-                chol_ik = np.linalg.cholesky(covs[i, k])
-            except np.linalg.LinAlgError:
-                return i, k
-            if _small_pivots(np.diagonal(chol_ik), covs[i, k], tiny).any():
-                return i, k
-        raise
-    diag_l = np.diagonal(chol, axis1=-2, axis2=-1)
-    small = _small_pivots(diag_l, covs, tiny).any(axis=-1)
-    if small.any():
-        i = int(np.argmax(small.any(axis=1)))
-        return i, int(np.argmax(small[i]))
-    y = _forward_substitute(chol, errors)
-    # each sum runs along a contiguous axis of length p, whatever R and G
-    terms = 2.0 * np.log(diag_l).sum(axis=-1) + (y * y).sum(axis=-1).reshape(small.shape)
-    for row in terms:
-        total += row
+            with contextlib.suppress(np.linalg.LinAlgError):
+                terms[i, k], singular[i, k] = _terms(covs[i, k], errors[i, k], tiny)
+    # the sums after each row, added in row order as ``total += row`` would
+    terms[0] += total
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.accumulate(terms, axis=0)
+    failed = singular | ~np.isfinite(sums)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=1)))
+        k = int(np.argmax(failed[i]))
+        return i, k, bool(singular[i, k])
+    total[:] = sums[-1]
     return None
 
 
@@ -228,8 +246,8 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     """Sum of ln det S_{t-1} + e^T S_{t-1}^{-1} e over t > burn_in, per decay.
 
     Returns the (G,) sums and None, or, at the first row with a singular
-    covariance (see the module docstring), partial sums and (t, lowest
-    failing index into ``alphas``).
+    covariance (see the module docstring) or an overflowing sum, partial sums
+    and (t, lowest failing index into ``alphas``, singular).
     The rows run in blocks of at most ``_ROW_BLOCK_BYTES`` of covariances.
     The mean and covariance recursions still advance one row at a time with
     ``ewm_update``'s elementwise arithmetic; only the terms that do not feed
@@ -276,7 +294,7 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
         if first < k:
             failure = _score_rows(covs[first:k], errors, total, tiny)
             if failure is not None:
-                return total, (lo + 1 + first + failure[0], failure[1])
+                return total, (lo + 1 + first + failure[0], *failure[1:])
         covs[0] = covs[k]
         means[0] = means[k]
     return total, None
@@ -296,11 +314,20 @@ def _loglik_curve(mat: np.ndarray, grid: np.ndarray, burn_in: int) -> np.ndarray
         rows = mat if failure is None else mat[: failure[0] - 1]
         total, block_failure = _score_block(rows, grid[lo : lo + size], burn_in)
         if block_failure is not None:
-            failure = (block_failure[0], lo + block_failure[1])
+            t, index, singular = block_failure
+            failure = (t, lo + index, singular)
         curve[lo : lo + size] = -0.5 * total
-    if failure is not None:
-        raise SingularCovarianceError(failure[0], float(grid[failure[1]]), p)
-    return curve
+    if failure is None:
+        return curve
+    t, index, singular = failure
+    alpha = float(grid[index])
+    if singular:
+        raise SingularCovarianceError(t, alpha, p)
+    raise OverflowError(
+        f"log-likelihood overflows float64 at observation t={t} (alpha={alpha}): the terms "
+        "e^T S^-1 e of the prediction errors e = x_t - m_(t-1) sum past 1.8e308, which no "
+        "rescaling of the data changes"
+    )
 
 
 def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
@@ -326,7 +353,9 @@ def ewm_loglik(x, alpha: float, burn_in: int | None = None) -> float:
     factorization fails, or a pivot diag(L)_i^2 is at most p eps S_ii)
     raises SingularCovarianceError, carrying the observation ``t`` and the
     decay ``alpha``, rather than regularizing silently: a ridge term would
-    bias the fitted decay.
+    bias the fitted decay.  A sum that overflows float64 raises
+    OverflowError, naming the observation and decay, rather than
+    returning -inf.
 
     This is ``estimate_alpha``'s grid computation with a one-value grid, so
     ``estimate_alpha(x, grid)[1][i] == ewm_loglik(x, grid[i])`` bit for bit.
@@ -349,11 +378,11 @@ def estimate_alpha(
 
     Returns the argmax (lowest index wins exact ties, per np.argmax) and the
     full likelihood curve in grid order.  All decays are scored in one pass
-    over the rows (see ``ewm_loglik``); if any covariance is singular, the
-    error names the earliest failing observation and, among the decays that
-    fail there, the one with the lowest grid index.  Finite data whose
-    moments overflow float64 raise OverflowError naming the observation,
-    ahead of any singular covariance in its block of rows.
+    over the rows (see ``ewm_loglik``); if any covariance is singular or any
+    sum overflows, the error names the earliest failing observation and,
+    among the decays that fail there, the one with the lowest grid index.
+    Finite data whose moments overflow float64 raise OverflowError naming
+    the observation, ahead of any singular covariance in its block of rows.
     """
     mat = as_matrix(x, "X")
     grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)

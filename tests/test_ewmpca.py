@@ -160,6 +160,35 @@ def test_initial_basis_must_be_near_orthonormal():
         EwmPCA(0.9, initial_basis=np.full((3, 3), 0.9))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same-signs", "mixed-signs"])
+def test_huge_initial_basis_is_refused_without_a_warning(sign):
+    # W^T W overflows: to inf, or, with mixed signs and no fused multiply-add,
+    # to inf - inf = NaN, which a plain drift > 1e-3 test would let through
+    basis = np.full((2, 2), 1e200)
+    basis[0, 1] *= sign
+    with pytest.raises(ValueError, match="not near-orthonormal"):
+        EwmPCA(0.97, initial_basis=basis)
+
+
+def test_iteration_summary_matches_every_refinement(monkeypatch):
+    calls = record_refinements(monkeypatch, ewmpca)
+    model = EwmPCA(0.95)
+    empty = {"refinements": 0, "min": None, "max": None, "mean": None}
+    assert model.iteration_summary() == empty
+    model.add(np.ones(3))
+    assert model.iteration_summary() == empty
+    model.add_all(seeded_stream(150, 3, seed=13))
+    steps = [diagnostics.iterations for _, _, diagnostics in calls]
+    assert len(set(steps)) > 1
+    assert model.iterations_total == sum(steps)
+    assert model.iteration_summary() == {
+        "refinements": len(steps),
+        "min": min(steps),
+        "max": max(steps),
+        "mean": float(np.mean(steps)),
+    }
+
+
 def test_projection_consistency_and_ordering_along_stream():
     x = seeded_stream(400, 4)
     model = EwmPCA(0.97, initial_basis=seed_initial_basis(x[:100]))
@@ -322,7 +351,7 @@ def test_fixed_cap_bounds_every_refinement(monkeypatch):
     capped = EwmPCA(0.95)
     capped.add_all(x)
     # one pass before the Jacobi rotation and one after it
-    assert max(capped.iteration_counts) == 2 * 3
+    assert capped.iterations_max == 2 * 3
 
 
 def test_truncation_count_counts_capped_rows(monkeypatch):

@@ -441,7 +441,58 @@ def test_score_rows_names_the_first_row_then_its_lowest_decay(singular):
     covs[1, 2] = covs[2, 0] = singular
     total = np.zeros(3)
     tiny = 2 * np.finfo(float).eps
-    assert ewmstats._score_rows(covs, np.ones((3, 3, 2)), total, tiny) == (1, 2)
+    assert ewmstats._score_rows(covs, np.ones((3, 3, 2)), total, tiny) == (1, 2, True)
+
+
+def test_score_rows_names_an_overflowing_term_before_a_later_singular_one():
+    # row 0 overflows at decay 1, row 1 is singular at decay 0: row 0 comes first,
+    # and nothing is added to the total
+    covs = np.tile(np.eye(2), (2, 3, 1, 1))
+    covs[1, 0] = 0.0
+    errors = np.ones((2, 3, 2))
+    errors[0, 1] = 1e160
+    total = np.arange(3.0)
+    tiny = 2 * np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ewmstats._score_rows(covs, errors, total, tiny) == (0, 1, False)
+    assert np.array_equal(total, np.arange(3.0))
+
+
+def overflow_term():
+    # 1e-5-scale noise, then x_60 = 1e150: e^T S^-1 e at t = 60 is near
+    # 1e150^2 / 1e-10, past float64, while every moment stays finite
+    x = 1e-5 * np.random.default_rng(0).standard_normal((60, 2))
+    x[59, 0] = 1e150
+    return x
+
+
+TERM_OVERFLOW = (r"^log-likelihood overflows float64 at observation t=60 \(alpha=0\.9\): "
+                 r"the terms e\^T S\^-1 e .* which no rescaling of the data changes$")
+
+
+@pytest.mark.parametrize("rows", [1, 7, 59])
+def test_overflowing_likelihood_term_is_named_at_its_observation(monkeypatch, rows):
+    # this used to warn, return a curve of -inf and pick the grid's first decay
+    grid = [0.9, 0.95]
+    rows_per_block(monkeypatch, rows, len(grid), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=TERM_OVERFLOW):
+            estimate_alpha(overflow_term(), grid, burn_in=5)
+        with pytest.raises(OverflowError, match=TERM_OVERFLOW):
+            ewm_loglik(overflow_term(), 0.9, burn_in=5)
+
+
+def test_score_rows_names_the_row_where_the_sum_overflows():
+    # e^T S^-1 e = 1e308 in both rows: each term is finite, their sum is not
+    covs = np.tile(np.eye(2), (2, 1, 1, 1))
+    errors = np.tile([1e154, 0.0], (2, 1, 1))
+    total = np.zeros(1)
+    tiny = 2 * np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ewmstats._score_rows(covs, errors, total, tiny) == (1, 0, False)
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 9, 16])

@@ -62,7 +62,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 42
+    assert len(cases) == 44
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists() and (out / f"{case}.stderr").exists()
@@ -74,6 +74,10 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     for case in ("ipca", "ewmpca", "estimate-alpha"):
         err = (out / f"error-{case}-overflow-moment.stderr").read_text()
         assert err.count("\n") == 1 and " overflows float64 " in err
+    for case in ("estimate-alpha", "ewmpca-ml"):
+        err = (out / f"error-{case}-overflow-term.stderr").read_text()
+        assert err.startswith("error: log-likelihood overflows float64 at observation t=60 "
+                              "(alpha=0.9)") and err.count("\n") == 1
     fine = (out / "error-estimate-alpha-fine-grid.stderr").read_text()
     assert fine.startswith("error: grid spec '0.0001:0.9999:1e-15' asks for 1e+15 decays")
     # causal: the header and rows 1-100 do not depend on the reversed tail
