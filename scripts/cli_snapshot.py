@@ -3,14 +3,14 @@
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
-order, a rank-one table, small noise ending in a 1e150 outlier).  Two derived tables are not plain, so that
-they take the ``csv`` row reader where the others take numpy's: one has
-quoted timestamps that hold a comma, one LF line ends and blank lines.  Every
-command runs in OUTDIR with relative paths, so the files it writes, and the
-stdout, stderr and exit code captured as ``<case>.stdout``, ``<case>.stderr``
-and ``<case>.exit``, do not depend on where the checkout lives.  Two
-snapshots compare with ``diff -r``: run this script from each checkout into
-its own OUTDIR.
+order, a rank-one table, small noise ending in a 1e150 outlier).  Two derived
+tables are not plain, so that they take the ``csv`` row reader where the
+others take numpy's: one has quoted timestamps that hold a comma, one LF line
+ends and blank lines.  Every command runs in OUTDIR with relative paths, so
+the files it writes, and the stdout, stderr and exit code captured as
+``<case>.stdout``, ``<case>.stderr`` and ``<case>.exit``, do not depend on
+where the checkout lives.  Two snapshots compare with ``diff -r``: run this
+script from each checkout into its own OUTDIR.
 
 Usage: python scripts/cli_snapshot.py OUTDIR
 """
@@ -154,7 +154,8 @@ def derive_inputs(outdir: Path) -> None:
     rank_one = ["x1,x2"] + [f"{t},{2 * t}" for t in range(1, 61)]
     (outdir / "rank_one.csv").write_text("\r\n".join(rank_one) + "\r\n", newline="")
     # 60 rows of the first two columns scaled by 1e-5, the last x1 replaced by 1e150
-    small = [",".join(f"{float(v) * 1e-5:.17g}" for v in row.split(",")[:2]) for row in rows[:60]]
+    small = [",".join(f"{float(v) * 1e-5:.17g}" for v in row.split(",")[:2])
+             for row in rows[:60]]
     term = ["x1,x2", *small[:59], "1e150," + small[59].partition(",")[2]]
     (outdir / "overflow_term.csv").write_text("\r\n".join(term) + "\r\n", newline="")
 

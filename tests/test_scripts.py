@@ -54,10 +54,15 @@ def test_script_runs_and_writes(tmp_path, script, args, written):
     assert all((out / name).stat().st_size > 0 for name in written)
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_cli_snapshot_captures_every_command(tmp_path):
-    spec = importlib.util.spec_from_file_location("cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
-    snapshot = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snapshot)
+    snapshot = load_script("cli_snapshot")
     out = tmp_path / "snap"
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
@@ -93,9 +98,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
 
 
 def test_kernel_timing_replays_from_the_benchmark_model():
-    spec = importlib.util.spec_from_file_location("kernel_timing", ROOT / "scripts" / "kernel_timing.py")
-    timing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(timing)
+    timing = load_script("kernel_timing")
     covs, start = timing.ewm_replay()
     w = timing.workloads
     online = w.EwmOnline(0, None)
