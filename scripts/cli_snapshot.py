@@ -60,6 +60,12 @@ COMMANDS = [
     ("estimate-alpha-default", ["estimate-alpha", "vc.csv"]),
     ("estimate-alpha-grid", ["estimate-alpha", "regime.csv", "--grid", "0.85:0.97:0.02",
                              "--burn-in", "21"]),
+    # p >= 8: numpy sums a contiguous row of 8 or more entries in unrolled
+    # partial sums, so these curves' last bits depend on the order of each sum
+    # (10-row blocks of 19 decays at p = 9, as in the benchmark's alpha-grid)
+    ("estimate-alpha-regime9", ["estimate-alpha", "regime9.csv", "--grid", "0.905:0.995:0.005"]),
+    ("estimate-alpha-wide", ["estimate-alpha", "wide.csv", "--grid", "0.97:0.99:0.01",
+                             "--burn-in", "60"]),
     ("compare-numeric", ["compare", "gauss.csv", "--alpha", "0.97"]),
     ("compare-ml", ["compare", "vc.csv", "--alpha", "ml", *ML_GRID]),
     # tables that take the row reader

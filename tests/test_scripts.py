@@ -67,7 +67,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 44
+    assert len(cases) == 46
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists() and (out / f"{case}.stderr").exists()
