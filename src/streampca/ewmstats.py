@@ -23,11 +23,16 @@ The whole grid is scored in one pass over the rows: the moments of all G
 decays advance together as (G, p) means and (G, p, p) covariances.  The
 rows run in blocks.  Within a block the mean and covariance recursions
 still advance one row at a time, with ``ewm_update``'s elementwise
-arithmetic; the terms that do not feed back, (1 - alpha) x_t, the errors
-x_t - m_{t-1} and the rank-one updates, are formed once per block.  The
-S_{t-1} of every scored row of a block stay in a stack, and one batched
-Cholesky call factors all of them; L^{-1} e then comes from a forward
-substitution that runs across the whole stack, p vector steps in all.  A
+arithmetic; the terms that do not feed back, (1 - alpha) x_t and the
+rank-one updates, are formed once per block, each in the slot of the sum it
+goes into, and so are the errors x_t - m_{t-1}.  The S_{t-1} of every
+scored row of a block stay in a stack, and one batched Cholesky call
+factors all of them.  One copy lays the factors out so that each column of
+L, across the whole stack, is a contiguous row; the pivot test, ln det S
+and a forward substitution for L^{-1} e, p vector steps in all, read that
+copy.  Every sum of p terms runs along a contiguous row: numpy sums such a
+row of 8 or more in unrolled partial sums, and a strided axis in plain
+order, so a sum across the stack's layout would change the last bits.  A
 block holds at most ``_ROW_BLOCK_BYTES`` of covariances, so memory stays
 flat; once a single row's (G, p, p) stack exceeds that, each block holds
 one row.  Grids whose (G, p, p) working set would exceed
@@ -71,16 +76,17 @@ __all__ = [
 
 
 # Bytes that the (G, p, p) arrays of one block of decays may hold: two
-# covariances, their rank-one updates and their Cholesky factors, four at a
-# time when a block of rows holds one row (a block always holds at least one
-# decay).  At p = 100 the default 500-value grid would need 160 MB at once;
-# it runs in blocks of 104.
+# covariances, the Cholesky factors of one and the factors' contiguous copy,
+# four at a time when a block of rows holds one row (a block always holds at
+# least one decay).  At p = 100 the default 500-value grid would need 160 MB
+# at once; it runs in blocks of 104.
 _GRID_BLOCK_BYTES = 32 * 2**20
 
 # Bytes of covariances that one block of rows may hold besides the one it
-# starts from (their rank-one updates and Cholesky factors take as much
-# again).  A 19-value grid at p = 9 runs 10 rows per block; a block of decays
-# whose (G, p, p) stack alone exceeds this budget runs one row per block.
+# starts from (their Cholesky factors take as much again, and so does the
+# factors' contiguous copy).  A 19-value grid at p = 9 runs 10 rows per
+# block; a block of decays whose (G, p, p) stack alone exceeds this budget
+# runs one row per block.
 _ROW_BLOCK_BYTES = 128 * 2**10
 
 
@@ -173,42 +179,48 @@ def _check_burn_in(burn_in: int | None, n: int, p: int) -> int:
     return burn_in
 
 
-def _small_pivots(diag_l: np.ndarray, cov: np.ndarray, tiny: float) -> np.ndarray:
-    """Elementwise diag(L)_i^2 <= tiny * S_ii, for one or a stack of covariances."""
-    return diag_l * diag_l <= tiny * np.diagonal(cov, axis1=-2, axis2=-1)
-
-
-def _forward_substitute(chol: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """L^{-1} e for a stack of lower-triangular factors ``chol`` (..., p, p) and
-    vectors ``e`` (..., p), as a C-contiguous (M, p) array, M the stack size.
+def _forward_substitute(cols: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite ``y`` (p, M) with L^{-1} y for the M lower-triangular factors
+    stored column by column in ``cols`` (p, p, M): cols[i, j] = L[j, i].
 
     Forward substitution one column of L at a time, each step elementwise
     across the stack, so the solution of one system does not depend on the
-    stack it sits in.  The stack runs along the contiguous axis of a working
-    copy of ``e``, so each step is a few long vector operations.
+    stack it sits in.  The stack runs along the contiguous last axis, so each
+    step is a few long vector operations.
     """
-    p = e.shape[-1]
-    cols = chol.reshape(-1, p, p).T  # cols[i, j] = L[j, i] across the stack
-    y = e.reshape(-1, p).T.copy()  # y[i] = e_i across the stack
-    for i in range(p):
+    for i in range(y.shape[0]):
         y[i] /= cols[i, i]
         y[i + 1 :] -= cols[i, i + 1 :] * y[i]
-    return np.ascontiguousarray(y.T)
 
 
 def _terms(covs: np.ndarray, errors: np.ndarray, tiny: float):
     """ln det S + |L^{-1} e|^2 of each covariance of the (..., p, p) stack
     ``covs`` and error of the (..., p) stack ``errors``, and whether that
     covariance is singular; raises LinAlgError where Cholesky fails.  An
-    overflowing term comes back non-finite, without a numpy warning."""
+    overflowing term comes back non-finite, without a numpy warning.
+
+    Once Cholesky has gone through, ``covs`` is overwritten: it holds the
+    factors' copy that the forward substitution reads, so that scoring a
+    stack takes no more memory than its factors.
+    """
+    p = errors.shape[-1]
     chol = np.linalg.cholesky(covs)
     diag_l = np.diagonal(chol, axis1=-2, axis2=-1)
-    singular = _small_pivots(diag_l, covs, tiny).any(axis=-1)
+    singular = (diag_l * diag_l <= tiny * np.diagonal(covs, axis1=-2, axis2=-1)).any(axis=-1)
+    # the factors column by column: cols[i, j] = L[j, i] across the stack
+    cols = covs.reshape(p, p, -1)
+    cols[...] = chol.reshape(-1, p, p).T
+    y = errors.reshape(-1, p).T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _forward_substitute(chol, errors)
-        # each sum runs along a contiguous axis of length p, whatever the stack
-        terms = 2.0 * np.log(diag_l).sum(axis=-1) + (y * y).sum(axis=-1).reshape(singular.shape)
-    return terms, singular
+        _forward_substitute(cols, y)
+        # Both sums run along contiguous rows of length p: from p = 8 on numpy
+        # sums such a row in unrolled partial sums, and a strided axis in order.
+        parts = np.empty((2, y.shape[1], p))
+        np.log(diag_l.reshape(-1, p), out=parts[0])
+        np.multiply(y.T, y.T, out=parts[1])
+        sums = parts.sum(axis=-1)
+        terms = 2.0 * sums[0] + sums[1]
+    return terms.reshape(singular.shape), singular
 
 
 def _score_rows(covs: np.ndarray, errors: np.ndarray, total: np.ndarray, tiny: float):
@@ -250,23 +262,26 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     and (t, lowest failing index into ``alphas``, singular).
     The rows run in blocks of at most ``_ROW_BLOCK_BYTES`` of covariances.
     The mean and covariance recursions still advance one row at a time with
-    ``ewm_update``'s elementwise arithmetic; only the terms that do not feed
-    back, (1 - alpha) x_t, the errors and the rank-one updates, are formed
-    for the whole block at once.  Finite data whose moments overflow float64
-    raise OverflowError, without a numpy warning, before the block is scored.
+    ``ewm_update``'s elementwise arithmetic.  The terms that do not feed back,
+    (1 - alpha) x_t and the rank-one updates, are formed for the whole block
+    at once, each in the slot that its row's sum goes to; each row then adds
+    alpha m_{t-1} and alpha S_{t-1} from one scratch slot.  IEEE addition
+    commutes, so every sum has the bits of ewm_update's.  Finite data whose
+    moments overflow float64 raise OverflowError, without a numpy warning,
+    before the block is scored.
     """
     n, p = mat.shape
     g = alphas.shape[0]
     tiny = p * np.finfo(np.float64).eps
-    a = np.repeat(alphas[:, None], p, axis=1)  # full shape: no broadcast per row
-    a3 = alphas[:, None, None]
-    b = 1.0 - alphas[:, None]
-    b3 = b[:, :, None]
+    # alpha at the full shape of a slot: no operation broadcasts across decays
+    a = np.repeat(alphas[:, None], p, axis=1)
+    a2 = np.repeat(alphas[:, None], p * p, axis=1).reshape(g, p, p)
     size = max(1, min(n - 1, _ROW_BLOCK_BYTES // (8 * g * p * p)))
     # Slot r holds m_{t-1} and S_{t-1} of the block's r-th row t, and slot k
     # the moments after its last row, which the next block starts from.
     means = np.empty((size + 1, g, p))
     covs = np.zeros((size + 1, g, p, p))
+    mean_rows, cov_rows = list(means), list(covs)
     means[0] = mat[0]
     total = np.zeros(g)
     for lo in range(1, n, size):
@@ -274,17 +289,19 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
         k = x.shape[0]
         first = min(max(0, burn_in - lo), k)  # rows r >= first are scored
         with np.errstate(over="ignore", invalid="ignore"):
-            step = b * x
+            step = 1.0 - a
+            np.multiply(x, step, out=means[1 : k + 1])
             for r in range(k):
-                # (1 - alpha) x_t + alpha m_{t-1}: IEEE addition commutes
-                np.multiply(means[r], a, out=means[r + 1])
-                means[r + 1] += step[r]
+                np.multiply(mean_rows[r], a, out=step)
+                mean_rows[r + 1] += step
             d = x - means[1 : k + 1]
-            rank_one = d[..., :, None] * d[..., None, :]
-            rank_one *= b3
+            step = 1.0 - a2
+            np.multiply(d[..., :, None], d[..., None, :], out=covs[1 : k + 1])
+            covs[1 : k + 1] *= step
             for r in range(k):
-                np.multiply(covs[r], a3, out=covs[r + 1])
-                covs[r + 1] += rank_one[r]
+                np.multiply(cov_rows[r], a2, out=step)
+                cov_rows[r + 1] += step
+            del step  # freed before the block's covariances are factored
             errors = x[first:] - means[first:k]
         # a non-finite entry persists through the recursion, so the block's
         # moments are finite if its last covariance is

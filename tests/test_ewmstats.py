@@ -495,23 +495,52 @@ def test_score_rows_names_the_row_where_the_sum_overflows():
         assert ewmstats._score_rows(covs, errors, total, tiny) == (1, 0, False)
 
 
+def forward_substitute(chol, e):
+    """L^{-1} e for a stack of factors ``chol`` (..., p, p), through the
+    module's substitution on the layout that ``_terms`` gives it."""
+    p = e.shape[-1]
+    y = e.reshape(-1, p).T.copy()
+    ewmstats._forward_substitute(np.ascontiguousarray(chol.reshape(-1, p, p).T), y)
+    return y.T.reshape(e.shape)
+
+
+def well_conditioned(rng, stack, p):
+    """A stack of covariances with eigenvalues in [1, 4]."""
+    q = np.linalg.qr(rng.standard_normal(stack + (p, p)))[0]
+    values = rng.uniform(1.0, 4.0, stack + (1, p))
+    return (q * values) @ np.swapaxes(q, -1, -2)
+
+
 @pytest.mark.parametrize("p", [1, 2, 5, 9, 16])
 @pytest.mark.parametrize("stack", [(1,), (7,), (3, 4)])
 def test_forward_substitution_matches_solve(p, stack):
     rng = np.random.default_rng(100 * p + len(stack))
-    # well conditioned: eigenvalues in [1, 4]
-    q = np.linalg.qr(rng.standard_normal(stack + (p, p)))[0]
-    values = rng.uniform(1.0, 4.0, stack + (1, p))
-    chol = np.linalg.cholesky((q * values) @ np.swapaxes(q, -1, -2))
+    chol = np.linalg.cholesky(well_conditioned(rng, stack, p))
     e = rng.standard_normal(stack + (p,))
-    y = ewmstats._forward_substitute(chol, e).reshape(e.shape)
+    y = forward_substitute(chol, e)
     expected = np.linalg.solve(chol, e[..., None])[..., 0]
     err = np.linalg.norm(y - expected, axis=-1)
     assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=-1))
     # each system's solution does not depend on the stack it sits in
     flat_chol, flat_e = chol.reshape(-1, p, p), e.reshape(-1, p)
-    alone = [ewmstats._forward_substitute(c, v)[0] for c, v in zip(flat_chol, flat_e)]
+    alone = [forward_substitute(c, v) for c, v in zip(flat_chol, flat_e)]
     assert np.array_equal(np.array(alone), y.reshape(-1, p))
+
+
+@pytest.mark.parametrize("p", [9, 16])
+def test_terms_of_a_stack_equal_each_matrix_scored_alone(p):
+    # From p = 8 on numpy sums a contiguous row in unrolled partial sums, and
+    # a strided axis in plain order: a sum across the stack's layout would
+    # give a term other bits in a stack than alone.
+    rng = np.random.default_rng(p)
+    covs = well_conditioned(rng, (3, 4), p)
+    errors = rng.standard_normal((3, 4, p))
+    tiny = p * np.finfo(float).eps
+    terms, singular = ewmstats._terms(covs.copy(), errors, tiny)  # overwrites its stack
+    assert terms.shape == singular.shape == (3, 4) and not singular.any()
+    for i, k in np.ndindex(3, 4):
+        alone, flag = ewmstats._terms(covs[i, k], errors[i, k], tiny)
+        assert alone == terms[i, k] and flag == singular[i, k]
 
 
 # ---------------------------------------------------------------------------
