@@ -1,5 +1,6 @@
 """Time the two eigensolvers, ``linalg.jacobi_eigh`` and
-``refine.refine_to_convergence``, optionally against another checkout.
+``refine.refine_to_convergence``, and the decay grid search
+``ewmstats.estimate_alpha``, optionally against another checkout.
 
 The ``jacobi`` table has two seeded inputs per size p (``--sizes``):
 
@@ -20,20 +21,32 @@ The ``refine`` table replays two inputs built from the generators of
   day's basis, as ``IteratedPCA.fit`` does; the first day is fitted by
   ``jacobi_eigh``.
 
-A repeat of a ``jacobi`` row times ``JACOBI_BATCH`` calls, a repeat of a
-``refine`` row one replay.  With ``--baseline DIR`` the ``streampca`` package
-of that checkout is loaded too, under another name, and the two sides run
-interleaved, one call each in turn with the side that goes first
-alternating, so that both see the same load on the host; in a replay each
-side follows its own chain of bases.  Prints one JSON object with both
-tables.  A ``jacobi`` row holds the milliseconds per call of each side (the
+The ``loglik`` table scores two decay grids at the default burn-in:
+
+- alpha-grid: the input of the benchmark's ``alpha-grid`` workload, the
+  200 x 9 ``workloads.bekk_series`` at seed 1 on ``workloads.ALPHA_GRID``
+  (19 decays, 10 rows per block of the scorer);
+- gaussian 300x9: 300 rows of ``synth.stationary_gaussian`` at ``--seed`` on
+  the default 500-value grid, where each block of the scorer holds one row.
+
+A repeat of a ``jacobi`` row times ``BATCH`` calls, a repeat of a ``refine``
+row one replay, and a repeat of a ``loglik`` row the number of calls in its
+``calls`` (``BATCH`` for the short alpha-grid call).  With ``--baseline DIR``
+the ``streampca`` package of that checkout is loaded too, under another
+name, and the two sides run interleaved, one call each in turn with the side
+that goes first alternating, so that both see the same load on the host; in
+a replay each side follows its own chain of bases.  Prints one JSON object
+with the three tables.  A ``jacobi`` row holds the milliseconds per call of each side (the
 median over repeats, and the quartiles as ``_q1`` and ``_q3``), the ratio of
 the medians, and the residual ||A V - V diag(values)||_F / max(1, ||A||_F)
 and the orthonormality ||V^T V - I||_F of this checkout's result.  A
 ``refine`` row holds the microseconds per iteration of each side (median and
 quartiles), the iterations per replay, the ratio of the medians, and whether
 the baseline's bases, eigenvalues and iteration counts are bit-identical
-(``np.array_equal``) to this checkout's.
+(``np.array_equal``) to this checkout's.  A ``loglik`` row holds the
+milliseconds per call of each side (median and quartiles), the ratio of the
+medians, and whether the baseline's argmax and likelihood curve are
+bit-identical to this checkout's.
 
 Usage: python scripts/kernel_timing.py [--baseline DIR] [--sizes 9 12 32 100]
            [--repeats 9] [--seed 0]
@@ -56,13 +69,15 @@ import numpy as np  # noqa: E402
 
 import streampca  # noqa: E402
 import workloads  # noqa: E402
-from streampca.ewmstats import ewm_update  # noqa: E402
+from streampca.cli import parse_grid_spec  # noqa: E402
+from streampca.ewmstats import default_alpha_grid, ewm_update  # noqa: E402
 from streampca.linalg import jacobi_eigh, sample_covariance  # noqa: E402
 from streampca.synth import stationary_gaussian  # noqa: E402
 
-# jacobi_eigh calls per repeat: one call of 1-12 ms is too short for a
-# stable median on a shared host
-JACOBI_BATCH = 10
+# calls per repeat of a short call: one jacobi_eigh call of 1-12 ms, or one
+# estimate_alpha call of ~6 ms, is too short for a stable median on a shared
+# host
+BATCH = 10
 
 
 def load_package(checkout: Path, name: str):
@@ -115,11 +130,11 @@ def jacobi_inputs(p: int, seed: int) -> dict:
 
 
 def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> dict:
-    calls = [lambda package, _: package.linalg.jacobi_eigh(a)] * JACOBI_BATCH
+    calls = [lambda package, _: package.linalg.jacobi_eigh(a)] * BATCH
     seconds, out = interleave(sides, calls, None, repeats)
     row = {"p": p, "input": kind}
     for side in sides:
-        row.update(quartiles(f"{side}_ms", seconds[side], 1e3 / JACOBI_BATCH, 3))
+        row.update(quartiles(f"{side}_ms", seconds[side], 1e3 / BATCH, 3))
     if "baseline" in sides:
         row["speedup"] = round(row["baseline_ms"] / row["this_ms"], 2)
     v, values = out["this"][0].vectors, out["this"][0].values
@@ -169,6 +184,32 @@ def refine_row(sides: dict, name: str, covs, start, repeats: int) -> dict:
     return row
 
 
+def loglik_inputs(seed: int) -> dict:
+    """name: (table, grid, calls per repeat) of the two likelihood inputs."""
+    w = workloads
+    bekk = w.bekk_series(np.random.default_rng(1), w.ALPHA_ROWS, w.ALPHA_P)
+    return {
+        "alpha-grid": (bekk, parse_grid_spec(w.ALPHA_GRID), BATCH),
+        "gaussian 300x9": (stationary_gaussian(300, 9, seed), default_alpha_grid(), 1),
+    }
+
+
+def loglik_row(sides: dict, name: str, x, grid, batch: int, repeats: int) -> dict:
+    calls = [lambda package, _: package.estimate_alpha(x, grid)] * batch
+    seconds, out = interleave(sides, calls, None, repeats)
+    row = {"input": name, "rows": x.shape[0], "p": x.shape[1], "decays": grid.shape[0],
+           "calls": batch}
+    for side in sides:
+        row.update(quartiles(f"{side}_ms", seconds[side], 1e3 / batch, 3))
+    if "baseline" in sides:
+        row["speedup"] = round(row["baseline_ms"] / row["this_ms"], 3)
+        row["bit_identical"] = all(
+            a == b and np.array_equal(c, d)
+            for (a, c), (b, d) in zip(out["this"], out["baseline"])
+        )
+    return row
+
+
 def at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -195,7 +236,12 @@ def main(argv=None) -> int:
         refine_row(sides, name, *inputs, args.repeats)
         for name, inputs in (("ewm p=9", ewm_replay()), ("ipca p=12", ipca_replay()))
     ]
-    result = {"repeats": args.repeats, "seed": args.seed, "jacobi": jacobi, "refine": refine}
+    loglik = [
+        loglik_row(sides, name, *inputs, args.repeats)
+        for name, inputs in loglik_inputs(args.seed).items()
+    ]
+    result = {"repeats": args.repeats, "seed": args.seed, "jacobi": jacobi, "refine": refine,
+              "loglik": loglik}
     print(json.dumps(result, indent=1))
     return 0
 

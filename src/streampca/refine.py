@@ -109,8 +109,8 @@ def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, float]:
     numerical core, :func:`streampca.linalg.checked_norm`, pass Xhat, then A."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asfortranarray(xhat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"A must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"A must be square and non-empty, got shape {a.shape}")
     if xhat.shape != a.shape:
         raise ValueError(
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
@@ -139,8 +139,7 @@ def _rayleigh(a: np.ndarray, xhat: np.ndarray):
     s = np.dot(xhat.T, np.dot(a, xhat))
     s = (s + s.T) * 0.5
     denom = 1.0 - r_diag
-    # initial=inf: a 0 x 0 input has no column to reject
-    if abs(denom).min(initial=np.inf) < 1e-14:
+    if abs(denom).min() < 1e-14:
         raise ValueError(
             "degenerate approximate eigenvector: column "
             f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"

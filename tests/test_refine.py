@@ -50,12 +50,14 @@ def test_degenerate_column_raises():
         estimate_eigenvalues(np.eye(3), x)
 
 
-def test_empty_inputs_give_empty_results():
+def test_empty_matrix_is_refused_as_jacobi_refuses_it():
+    # a 0 x 0 pair used to give an empty basis, with one iteration and a step of 0
     empty = np.zeros((0, 0))
-    assert estimate_eigenvalues(empty, empty).shape == (0,)
-    assert refine_step(empty, empty).shape == (0, 0)
-    out, diag = refine_to_convergence(empty, empty)
-    assert out.shape == (0, 0) and diag.iterations == 1 and diag.eigenvalues.shape == (0,)
+    for entry in (estimate_eigenvalues, refine_step, refine_to_convergence):
+        with pytest.raises(ValueError, match=r"^A must be square and non-empty, got shape \(0, 0\)$"):
+            entry(empty, empty)
+    with pytest.raises(ValueError, match="square and non-empty"):
+        jacobi_eigh(empty)
 
 
 def test_shape_mismatch_raises():

@@ -145,6 +145,15 @@ def test_refine_timing_replays_both_inputs_bit_identically(kernel_timing_result)
     assert_quartiles(table, ["this_us_per_iteration", "baseline_us_per_iteration"])
 
 
+def test_loglik_timing_scores_both_grids_bit_identically(kernel_timing_result):
+    table = kernel_timing_result["loglik"]
+    assert [(row["input"], row["rows"], row["p"], row["decays"]) for row in table] == [
+        ("alpha-grid", 200, 9, 19), ("gaussian 300x9", 300, 9, 500)
+    ]
+    assert all(row["bit_identical"] is True for row in table)
+    assert_quartiles(table, ["this_ms", "baseline_ms"])
+
+
 def assert_quartiles(table, keys):
     """Each timing sits between its quartiles, ``_q1`` and ``_q3``."""
     for row in table:
