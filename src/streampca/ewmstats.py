@@ -27,15 +27,15 @@ arithmetic; the terms that do not feed back, (1 - alpha) x_t and the
 rank-one updates, are formed once per block, each in the slot of the sum it
 goes into, and so are the errors x_t - m_{t-1}.  The S_{t-1} of every
 scored row of a block stay in a stack, and one batched Cholesky call
-factors all of them.  One copy lays the factors out so that each column of
-L, across the whole stack, is a contiguous row; the pivot test, ln det S
-and a forward substitution for L^{-1} e, p vector steps in all, read that
-copy.  Every sum of p terms runs along a contiguous row: numpy sums such a
-row of 8 or more in unrolled partial sums, and a strided axis in plain
-order, so a sum across the stack's layout would change the last bits.  A
-block holds at most ``_ROW_BLOCK_BYTES`` of covariances, so memory stays
-flat; once a single row's (G, p, p) stack exceeds that, each block holds
-one row.  Grids whose (G, p, p) working set would exceed
+factors all of them.  One copy of the factors, laid out so that each column
+of L across the whole stack is a contiguous row, takes the place of the
+covariances they factor; the pivot test, ln det S and a forward
+substitution for L^{-1} e, p vector steps in all, read that copy.  Every sum of p terms runs along a contiguous row:
+numpy sums such a row of 8 or more in unrolled partial sums, and a strided
+axis in plain order, so a sum across the stack's layout would change the
+last bits.  A block holds at most ``_ROW_BLOCK_BYTES`` of covariances, so
+memory stays flat; once a single row's (G, p, p) stack exceeds that, each
+block holds one row.  Grids whose (G, p, p) working set would exceed
 ``_GRID_BLOCK_BYTES`` are scored in blocks of decays.  ``ewm_loglik`` is
 the same computation with G = 1; the decays are independent, the
 arithmetic is elementwise and every sum runs over p entries in a fixed
@@ -76,17 +76,16 @@ __all__ = [
 
 
 # Bytes that the (G, p, p) arrays of one block of decays may hold: two
-# covariances, the Cholesky factors of one and the factors' contiguous copy,
-# four at a time when a block of rows holds one row (a block always holds at
-# least one decay).  At p = 100 the default 500-value grid would need 160 MB
+# covariances, alpha at their shape, and a scratch slot or the Cholesky
+# factors of one, four at a time when a block of rows holds one row (a block
+# always holds at least one decay).  At p = 100 the default 500-value grid would need 160 MB
 # at once; it runs in blocks of 104.
 _GRID_BLOCK_BYTES = 32 * 2**20
 
 # Bytes of covariances that one block of rows may hold besides the one it
-# starts from (their Cholesky factors take as much again, and so does the
-# factors' contiguous copy).  A 19-value grid at p = 9 runs 10 rows per
-# block; a block of decays whose (G, p, p) stack alone exceeds this budget
-# runs one row per block.
+# starts from (their Cholesky factors take as much again).  A 19-value grid
+# at p = 9 runs 10 rows per block; a block of decays whose (G, p, p) stack
+# alone exceeds this budget runs one row per block.
 _ROW_BLOCK_BYTES = 128 * 2**10
 
 
@@ -199,28 +198,30 @@ def _terms(covs: np.ndarray, errors: np.ndarray, tiny: float):
     covariance is singular; raises LinAlgError where Cholesky fails.  An
     overflowing term comes back non-finite, without a numpy warning.
 
-    Once Cholesky has gone through, ``covs`` is overwritten: it holds the
-    factors' copy that the forward substitution reads, so that scoring a
-    stack takes no more memory than its factors.
+    Once Cholesky has gone through, ``covs`` is overwritten with the copy of
+    the factors that the pivot test, ln det S and the forward substitution
+    read, so that scoring a stack takes no more memory than its factors.
     """
-    p = errors.shape[-1]
-    chol = np.linalg.cholesky(covs)
-    diag_l = np.diagonal(chol, axis1=-2, axis2=-1)
-    singular = (diag_l * diag_l <= tiny * np.diagonal(covs, axis1=-2, axis2=-1)).any(axis=-1)
+    shape, p = covs.shape[:-2], errors.shape[-1]
+    y = errors.reshape(-1, p).T.copy()
+    # p eps S_ii, before the copy of the factors overwrites S
+    bound = np.multiply(tiny, np.diagonal(covs, axis1=-2, axis2=-1).reshape(-1, p).T,
+                        out=np.empty_like(y))
     # the factors column by column: cols[i, j] = L[j, i] across the stack
     cols = covs.reshape(p, p, -1)
-    cols[...] = chol.reshape(-1, p, p).T
-    y = errors.reshape(-1, p).T.copy()
+    cols[...] = np.linalg.cholesky(covs).reshape(-1, p, p).T
+    diag_l = cols.reshape(p * p, -1)[:: p + 1]
+    singular = (diag_l * diag_l <= bound).any(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         _forward_substitute(cols, y)
         # Both sums run along contiguous rows of length p: from p = 8 on numpy
         # sums such a row in unrolled partial sums, and a strided axis in order.
-        parts = np.empty((2, y.shape[1], p))
-        np.log(diag_l.reshape(-1, p), out=parts[0])
+        parts = np.empty((2,) + y.shape[::-1])
+        np.log(diag_l.T, out=parts[0])
         np.multiply(y.T, y.T, out=parts[1])
         sums = parts.sum(axis=-1)
         terms = 2.0 * sums[0] + sums[1]
-    return terms.reshape(singular.shape), singular
+    return terms.reshape(shape), singular.reshape(shape)
 
 
 def _score_rows(covs: np.ndarray, errors: np.ndarray, total: np.ndarray, tiny: float):
@@ -273,7 +274,7 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
     n, p = mat.shape
     g = alphas.shape[0]
     tiny = p * np.finfo(np.float64).eps
-    # alpha at the full shape of a slot: no operation broadcasts across decays
+    # alpha at the full shape of a slot, so that no per-row operation broadcasts
     a = np.repeat(alphas[:, None], p, axis=1)
     a2 = np.repeat(alphas[:, None], p * p, axis=1).reshape(g, p, p)
     size = max(1, min(n - 1, _ROW_BLOCK_BYTES // (8 * g * p * p)))
@@ -295,7 +296,7 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
                 np.multiply(mean_rows[r], a, out=step)
                 mean_rows[r + 1] += step
             d = x - means[1 : k + 1]
-            step = 1.0 - a2
+            step = 1.0 - a2  # then the scratch slot of each row's alpha S_{t-1}
             np.multiply(d[..., :, None], d[..., None, :], out=covs[1 : k + 1])
             covs[1 : k + 1] *= step
             for r in range(k):
