@@ -32,20 +32,20 @@ The ``loglik`` table scores two decay grids at the default burn-in:
 A repeat of a ``jacobi`` row times ``BATCH`` calls, a repeat of a ``refine``
 row one replay, and a repeat of a ``loglik`` row the number of calls in its
 ``calls`` (``BATCH`` for the short alpha-grid call).  With ``--baseline DIR``
-the ``streampca`` package of that checkout is loaded too, under another
-name, and the two sides run interleaved, one call each in turn with the side
-that goes first alternating, so that both see the same load on the host; in
-a replay each side follows its own chain of bases.  Prints one JSON object
-with the three tables.  A ``jacobi`` row holds the milliseconds per call of each side (the
-median over repeats, and the quartiles as ``_q1`` and ``_q3``), the ratio of
-the medians, and the residual ||A V - V diag(values)||_F / max(1, ||A||_F)
-and the orthonormality ||V^T V - I||_F of this checkout's result.  A
-``refine`` row holds the microseconds per iteration of each side (median and
-quartiles), the iterations per replay, the ratio of the medians, and whether
-the baseline's bases, eigenvalues and iteration counts are bit-identical
-(``np.array_equal``) to this checkout's.  A ``loglik`` row holds the
-milliseconds per call of each side (median and quartiles), the ratio of the
-medians, and whether the baseline's argmax and likelihood curve are
+the ``streampca`` package of that checkout is loaded too, under another name,
+and the two sides run interleaved, one call each in turn with the side that
+goes first alternating, so that both see the same load on the host; in a
+replay each side follows its own chain of bases.  Prints one JSON object with
+the three tables.  A ``jacobi`` row holds the milliseconds per call of each
+side (the median over repeats, and the quartiles as ``_q1`` and ``_q3``), the
+ratio of the medians, and the residual ||A V - V diag(values)||_F /
+max(1, ||A||_F) and the orthonormality ||V^T V - I||_F of this checkout's
+result.  A ``refine`` row holds the microseconds per iteration of each side
+(median and quartiles), the iterations per replay, the ratio of the medians,
+and whether the baseline's bases, eigenvalues and iteration counts are
+bit-identical (``np.array_equal``) to this checkout's.  A ``loglik`` row holds
+the milliseconds per call of each side (median and quartiles), the ratio of
+the medians, and whether the baseline's argmax and likelihood curve are
 bit-identical to this checkout's.
 
 Usage: python scripts/kernel_timing.py [--baseline DIR] [--sizes 9 12 32 100]

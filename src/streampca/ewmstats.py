@@ -24,23 +24,24 @@ decays advance together as (G, p) means and (G, p, p) covariances.  The
 rows run in blocks.  Within a block the mean and covariance recursions
 still advance one row at a time, with ``ewm_update``'s elementwise
 arithmetic; the terms that do not feed back, (1 - alpha) x_t and the
-rank-one updates, are formed once per block, each in the slot of the sum it
-goes into, and so are the errors x_t - m_{t-1}.  The S_{t-1} of every
+rank-one updates, are formed once per block, each in the slot of the sum
+it goes into, and so are the errors x_t - m_{t-1}.  The S_{t-1} of every
 scored row of a block stay in a stack, and one batched Cholesky call
-factors all of them.  One copy of the factors, laid out so that each column
-of L across the whole stack is a contiguous row, takes the place of the
-covariances they factor; the pivot test, ln det S and a forward
-substitution for L^{-1} e, p vector steps in all, read that copy.  Every sum of p terms runs along a contiguous row:
-numpy sums such a row of 8 or more in unrolled partial sums, and a strided
-axis in plain order, so a sum across the stack's layout would change the
-last bits.  A block holds at most ``_ROW_BLOCK_BYTES`` of covariances, so
-memory stays flat; once a single row's (G, p, p) stack exceeds that, each
-block holds one row.  Grids whose (G, p, p) working set would exceed
-``_GRID_BLOCK_BYTES`` are scored in blocks of decays.  ``ewm_loglik`` is
-the same computation with G = 1; the decays are independent, the
-arithmetic is elementwise and every sum runs over p entries in a fixed
-order, so a curve entry equals the standalone value bit for bit whatever
-the grid or its blocking, of decays or of rows.
+factors all of them.  One copy of the factors, laid out so that each
+column of L across the whole stack is a contiguous row, takes the place of
+the covariances they factor; the pivot test, ln det S and a forward
+substitution for L^{-1} e, p vector steps in all, read that copy.  Every
+sum of p terms runs along a contiguous row: numpy sums such a row of 8 or
+more in unrolled partial sums, and a strided axis in plain order, so a sum
+across the stack's layout would change the last bits.  A block holds at
+most ``_ROW_BLOCK_BYTES`` of covariances, so memory stays flat; once a
+single row's (G, p, p) stack exceeds that, each block holds one row.
+Grids whose (G, p, p) working set would exceed ``_GRID_BLOCK_BYTES`` are
+scored in blocks of decays.  ``ewm_loglik`` is the same computation with
+G = 1; the decays are independent, the arithmetic is elementwise and every
+sum runs over p entries in a fixed order, so a curve entry equals the
+standalone value bit for bit whatever the grid or its blocking, of decays
+or of rows.
 A covariance that is singular to working precision raises
 ``SingularCovarianceError`` with the earliest failing observation ``t`` and,
 of the decays failing there, the ``alpha`` lowest in the grid.  Singular

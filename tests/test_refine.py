@@ -53,8 +53,9 @@ def test_degenerate_column_raises():
 def test_empty_matrix_is_refused_as_jacobi_refuses_it():
     # a 0 x 0 pair used to give an empty basis, with one iteration and a step of 0
     empty = np.zeros((0, 0))
+    refusal = r"^A must be square and non-empty, got shape \(0, 0\)$"
     for entry in (estimate_eigenvalues, refine_step, refine_to_convergence):
-        with pytest.raises(ValueError, match=r"^A must be square and non-empty, got shape \(0, 0\)$"):
+        with pytest.raises(ValueError, match=refusal):
             entry(empty, empty)
     with pytest.raises(ValueError, match="square and non-empty"):
         jacobi_eigh(empty)
