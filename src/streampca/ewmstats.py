@@ -227,8 +227,8 @@ def _terms(covs: np.ndarray, errors: np.ndarray, tiny: float):
 
 def _score_rows(covs: np.ndarray, errors: np.ndarray, total: np.ndarray, tiny: float):
     """Add ln det S + |L^{-1} e|^2 of each stashed row to ``total``, in row
-    order, from one Cholesky call on the (R, G, p, p) stack ``covs`` and the
-    (R, G, p) stack ``errors``.
+    order, from one Cholesky call on the (R, G, p, p) stack ``covs``, which
+    it overwrites (see ``_terms``), and the (R, G, p) stack ``errors``.
 
     Returns None, or (row, decay, singular) of the first term in row-major
     order whose covariance is singular (see the module docstring) or after
@@ -291,13 +291,14 @@ def _score_block(mat: np.ndarray, alphas: np.ndarray, burn_in: int):
         k = x.shape[0]
         first = min(max(0, burn_in - lo), k)  # rows r >= first are scored
         with np.errstate(over="ignore", invalid="ignore"):
+            # step holds 1 - alpha, then serves as the scratch slot
             step = 1.0 - a
             np.multiply(x, step, out=means[1 : k + 1])
             for r in range(k):
                 np.multiply(mean_rows[r], a, out=step)
                 mean_rows[r + 1] += step
             d = x - means[1 : k + 1]
-            step = 1.0 - a2  # then the scratch slot of each row's alpha S_{t-1}
+            step = 1.0 - a2
             np.multiply(d[..., :, None], d[..., None, :], out=covs[1 : k + 1])
             covs[1 : k + 1] *= step
             for r in range(k):
