@@ -3,14 +3,16 @@
 Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
-order, a rank-one table, small noise ending in a 1e150 outlier).  Two derived
-tables are not plain, so that they take the ``csv`` row reader where the
-others take numpy's: one has quoted timestamps that hold a comma, one LF line
-ends and blank lines.  Every command runs in OUTDIR with relative paths, so
-the files it writes, and the stdout, stderr and exit code captured as
-``<case>.stdout``, ``<case>.stderr`` and ``<case>.exit``, do not depend on
-where the checkout lives.  Two snapshots compare with ``diff -r``: run this
-script from each checkout into its own OUTDIR.
+order, a rank-one table, small noise ending in a 1e150 outlier, the Gaussian
+table times 2^-20).  Two derived tables are not plain, so that they take the
+``csv`` row reader where the others take numpy's: one has quoted timestamps
+that hold a comma, one LF line ends and blank lines.  Every command runs in
+OUTDIR with relative paths, so the files it writes, and the stdout, stderr
+and exit code captured as ``<case>.stdout``, ``<case>.stderr`` and
+``<case>.exit``, do not depend on where the checkout lives.  Commands run
+with ``-W error::RuntimeWarning``, so a numpy warning fails its case with a
+traceback instead of passing unseen.  Two snapshots compare with
+``diff -r``: run this script from each checkout into its own OUTDIR.
 
 Usage: python scripts/cli_snapshot.py OUTDIR
 """
@@ -73,6 +75,11 @@ COMMANDS = [
     ("ewmpca-quoted-stamps", ["ewmpca", "quoted.csv", "--alpha", "0.97"]),
     ("ipca-blank-lines", ["ipca", "blank_lines.csv", "--chunk-spec", "chunk=200"]),
     ("ewmpca-blank-lines", ["ewmpca", "blank_lines.csv", "--alpha", "0.97"]),
+    # gauss.csv times 2^-20: every output is a power of two times its twin's
+    # (ipca-chunk200, ewmpca-numeric, compare-numeric)
+    ("ipca-micro", ["ipca", "gauss_micro.csv", "--chunk-spec", "chunk=200"]),
+    ("ewmpca-micro", ["ewmpca", "gauss_micro.csv", "--alpha", "0.97"]),
+    ("compare-micro", ["compare", "gauss_micro.csv", "--alpha", "0.97"]),
     # error cases
     ("error-ipca-overflow-first-chunk", ["ipca", "overflow_head.csv", "--chunk-spec",
                                          "chunk=100"]),
@@ -117,7 +124,7 @@ def output_flag(case: str, argv: list[str]) -> list[str]:
 
 def run(outdir: Path, case: str, argv: list[str], env: dict) -> int:
     proc = subprocess.run(
-        [sys.executable, "-m", "streampca", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "streampca", *argv],
         cwd=outdir, env=env, capture_output=True,
     )
     (outdir / f"{case}.stdout").write_bytes(proc.stdout)
@@ -164,6 +171,9 @@ def derive_inputs(outdir: Path) -> None:
              for row in rows[:60]]
     term = ["x1,x2", *small[:59], "1e150," + small[59].partition(",")[2]]
     (outdir / "overflow_term.csv").write_text("\r\n".join(term) + "\r\n", newline="")
+    # every value times 2^-20, which is exact in binary and written exactly
+    micro = [",".join(f"{float(v) * 2.0**-20:.17g}" for v in row.split(",")) for row in rows]
+    (outdir / "gauss_micro.csv").write_text("\r\n".join([header, *micro]) + "\r\n", newline="")
 
 
 def main(argv=None) -> int:

@@ -38,9 +38,9 @@ goes first alternating, so that both see the same load on the host; in a
 replay each side follows its own chain of bases.  Prints one JSON object with
 the three tables.  A ``jacobi`` row holds the milliseconds per call of each
 side (the median over repeats, and the quartiles as ``_q1`` and ``_q3``), the
-ratio of the medians, and the residual ||A V - V diag(values)||_F /
-max(1, ||A||_F) and the orthonormality ||V^T V - I||_F of this checkout's
-result.  A ``refine`` row holds the microseconds per iteration of each side
+ratio of the medians, and the residual ||A V - V diag(values)||_F / ||A||_F
+and the orthonormality ||V^T V - I||_F of this checkout's result.  A
+``refine`` row holds the microseconds per iteration of each side
 (median and quartiles), the iterations per replay, the ratio of the medians,
 and whether the baseline's bases, eigenvalues and iteration counts are
 bit-identical (``np.array_equal``) to this checkout's.  A ``loglik`` row holds
@@ -138,7 +138,7 @@ def jacobi_row(sides: dict, p: int, kind: str, a: np.ndarray, repeats: int) -> d
     if "baseline" in sides:
         row["speedup"] = round(row["baseline_ms"] / row["this_ms"], 2)
     v, values = out["this"][0].vectors, out["this"][0].values
-    row["residual"] = float(np.linalg.norm(a @ v - v * values) / max(1.0, np.linalg.norm(a)))
+    row["residual"] = float(np.linalg.norm(a @ v - v * values) / np.linalg.norm(a))
     row["orthonormality"] = float(np.linalg.norm(v.T @ v - np.eye(p)))
     return row
 

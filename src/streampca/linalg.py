@@ -2,7 +2,9 @@
 
 Plain float64 numpy arrays throughout.  The round-robin Jacobi solver is kept
 independent of the refinement machinery on purpose: it provides first-fit
-eigenbases and doubles as the reference decomposition in tests.
+eigenbases and doubles as the reference decomposition in tests.  It stops
+relative to ||A||_F, as the refinement's certificate does, so results do not
+depend on the units of the data as long as no square underflows.
 """
 
 from __future__ import annotations
@@ -114,14 +116,15 @@ def jacobi_eigh(a) -> EigenBasis:
     A sweep runs the rounds of Brent & Luk's parallel ordering (SIAM J. Sci.
     Stat. Comput. 6, 1985); a round rotates its n // 2 disjoint pairs at once,
     W <- J^T W J and V <- V J.  Sweeps stop once the off-diagonal Frobenius mass
-    is below 1e-13 * max(1, ||A||_F), leaving ||A V - V diag(values)||_F well
-    under 1e-12 * max(1, ||A||_F).  Column signs are pinned by ``fix_column_signs``;
-    fixed order, no randomness.  The raw A passes the kernel's gate,
-    ``checked_norm``: ValueError for a NaN or an infinity, OverflowError if ||A||_F
-    overflows float64 (the stop test would pass at once).  Sweeps run on
-    (A + A^T)/2, which IEEE addition makes bit-identical for A and A^T, and
-    cannot overflow once ||A||_F is finite.  RuntimeError after ``MAX_SWEEPS``
-    sweeps.
+    is below 1e-13 * ||A||_F, leaving ||A V - V diag(values)||_F well under
+    1e-12 * ||A||_F.  The rule is relative, so A scaled by a power of two gives
+    the same vectors, bit for bit, and its values scaled by that power.  Column
+    signs are pinned by ``fix_column_signs``; fixed order, no randomness.  The
+    raw A passes the kernel's gate, ``checked_norm``: ValueError for a NaN or an
+    infinity, OverflowError if ||A||_F overflows float64 (the stop test would
+    pass at once).  Sweeps run on (A + A^T)/2, which IEEE addition makes
+    bit-identical for A and A^T, and cannot overflow once ||A||_F is finite.
+    RuntimeError after ``MAX_SWEEPS`` sweeps.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
@@ -134,7 +137,7 @@ def jacobi_eigh(a) -> EigenBasis:
     # flat indices of the (p, p), (q, q), (p, q) and (q, p) entries, per round
     rounds = list(zip(p * (n + 1), q * (n + 1), p * n + q, q * n + p))
     ones, eye, vectors = np.ones(p.shape[1]), np.eye(n), np.eye(n)
-    stop = 1e-13 * max(1.0, norm)
+    stop = 1e-13 * norm
     # Entries under the floor never need rotating (n*n of them keep the off-norm
     # <= stop), and it bounds |tau| = |aqq - app| / (2 |apq|) <= n * 1e13.
     floor = stop / n

@@ -41,7 +41,7 @@ def test_seed_basis_passes_oracle_residual_checks():
     basis = seed_initial_basis(head)
     _, cov = sample_covariance(head)
     lam = estimate_eigenvalues(cov, basis)
-    assert frobenius_norm(cov @ basis - basis * lam) <= 1e-12 * max(1.0, frobenius_norm(cov))
+    assert frobenius_norm(cov @ basis - basis * lam) <= 1e-12 * frobenius_norm(cov)
     assert frobenius_norm(basis.T @ basis - np.eye(5)) <= 1e-12
     assert np.all(np.diff(lam) <= 0.0)
 
@@ -225,7 +225,7 @@ def test_per_step_residual_audit_after_warmup():
             s, w = model.state.cov, model.basis
             lam = estimate_eigenvalues(s, w)
             res = frobenius_norm(s @ w - w * lam)
-            assert res <= 1e-4 * max(1.0, frobenius_norm(s))
+            assert res <= 1e-4 * frobenius_norm(s)
 
 
 def test_orthonormality_drift_stays_tiny_after_warmup():

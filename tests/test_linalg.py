@@ -96,8 +96,7 @@ def test_jacobi_2x2_analytic():
 
 
 def _residuals(a, basis):
-    scale = max(1.0, frobenius_norm(a))
-    res = frobenius_norm(a @ basis.vectors - basis.vectors * basis.values) / scale
+    res = frobenius_norm(a @ basis.vectors - basis.vectors * basis.values) / frobenius_norm(a)
     orth = frobenius_norm(basis.vectors.T @ basis.vectors - np.eye(a.shape[0]))
     return res, orth
 
@@ -249,6 +248,17 @@ def test_jacobi_p100(shape):
     assert np.all(np.diff(basis.values) <= 0.0)
 
 
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_jacobi_of_a_power_of_two_multiple_scales_exactly(k):
+    # the stop rule is relative to ||A||: c^2 A takes the rotations of A
+    c2 = 2.0 ** (-2 * k)
+    for seed in range(20):
+        a, _ = well_separated_symmetric(3 + seed % 8, seed)
+        unit, scaled = jacobi_eigh(a), jacobi_eigh(c2 * a)
+        assert np.array_equal(scaled.vectors, unit.vectors)
+        assert np.array_equal(scaled.values, c2 * unit.values)
+
+
 def test_jacobi_dim_one():
     basis = jacobi_eigh([[4.0]])
     assert np.array_equal(basis.values, [4.0])
@@ -317,4 +327,4 @@ def test_sample_covariance_psd_up_to_roundoff():
     x = rng.standard_normal((30, 5))
     _, q = sample_covariance(x)
     basis = jacobi_eigh(q)
-    assert basis.values.min() >= -1e-12 * max(1.0, frobenius_norm(q))
+    assert basis.values.min() >= -1e-12 * frobenius_norm(q)

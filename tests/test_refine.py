@@ -101,7 +101,7 @@ def test_refine_step_oracle_basis_fixed_point_property(seed):
     # rule and the smallest gap g of the drawn spectrum (0.7 or more here;
     # u is the unit roundoff, all norms Frobenius):
     # - the solver stops once the off-diagonal mass of its V^T A V is at most
-    #   tau = 1e-13 max(1, ||A||).  The step forms S = V^T A V afresh, which
+    #   tau = 1e-13 ||A||.  The step forms S = V^T A V afresh, which
     #   rounds each entry by at most 2p u (|V|^T |A| |V|)_ij, so
     #   off(S) <= tau + rho with rho = 2 p^2 u ||A|| (||V||^2 = p);
     # - with R = I - V^T V, the step's off-diagonal entries
@@ -119,7 +119,7 @@ def test_refine_step_oracle_basis_fixed_point_property(seed):
     u = np.finfo(np.float64).eps / 2.0
     norm_a = frobenius_norm(a)
     r = frobenius_norm(np.eye(dim) - vectors.T @ vectors)
-    tau, rho = 1e-13 * max(1.0, norm_a), 2.0 * dim * dim * u * norm_a
+    tau, rho = 1e-13 * norm_a, 2.0 * dim * dim * u * norm_a
     gap = float(np.min(-np.diff(values)))
     bound = (1.0 + r) * ((tau + rho + norm_a * r) / gap + r / 2.0) + u * np.sqrt(dim)
     assert frobenius_norm(out - vectors) <= bound
@@ -183,7 +183,7 @@ def test_converges_quadratically_to_tight_tolerance(monkeypatch):
     out, diag = refine_to_convergence(a, x0)
     lam = estimate_eigenvalues(a, out)
     res = frobenius_norm(a @ out - out * lam)
-    assert res <= 1e-10 * max(1.0, frobenius_norm(a))
+    assert res <= 1e-10 * frobenius_norm(a)
     # step norms shrink at least quadratically-ish until the floor
     eps = diag.step_norm_history
     for e_prev, e_next in zip(eps, eps[1:]):
@@ -430,6 +430,22 @@ def test_identity_false_fixed_point_is_rotated_and_certified():
     assert diag.step_norm_history[0] == 0.0
     assert relative_residual(a, out, diag) <= CERT_RTOL
     assert np.allclose(diag.eigenvalues, values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_refinement_of_a_power_of_two_multiple_scales_exactly(k):
+    # From the identity, a false fixed point, every call takes the Jacobi
+    # rotation, whose stop rule is relative to ||A|| as the certificate is.
+    c2 = 2.0 ** (-2 * k)
+    for seed in range(20):
+        dim = 3 + seed % 8
+        a, _ = well_separated_symmetric(dim, seed)
+        unit, unit_diag = refine_to_convergence(a, np.eye(dim))
+        scaled, diag = refine_to_convergence(c2 * a, np.eye(dim))
+        assert unit_diag.fallback and diag.fallback
+        assert np.array_equal(scaled, unit)
+        assert np.array_equal(diag.eigenvalues, c2 * unit_diag.eigenvalues)
+        assert diag.step_norm_history == unit_diag.step_norm_history
 
 
 def spy_on_steps(monkeypatch, blow_up_call=None):

@@ -12,6 +12,7 @@ import pytest
 
 from streampca.ewmpca import EwmPCA, seed_initial_basis
 from streampca.ewmstats import ewm_update
+from streampca.tableio import read_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,10 +68,13 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 46
+    assert len(cases) == 49
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
-        assert (out / f"{case}.stdout").exists() and (out / f"{case}.stderr").exists()
+        assert (out / f"{case}.stdout").exists()
+        # one line, the report or the named error: no warning, no traceback
+        err = (out / f"{case}.stderr").read_text()
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     assert (out / "estimate-alpha-default.csv").stat().st_size > 0
     assert (out / "compare-ml_run.json").stat().st_size > 0
     assert (out / "error-ewmpca-overflow.stderr").read_text().startswith("error: observation 301:")
@@ -95,6 +99,38 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert sidecar["diagnostics"]["fallback_chunks"] == [3, 4]
     removed = {"--reseed", "--warmup", "--max-iter", "--tol"}
     assert all(removed.isdisjoint(argv) for _, argv in snapshot.COMMANDS)
+    assert_micro_cases_scale_exactly(out)
+
+
+def assert_micro_cases_scale_exactly(out):
+    """The *-micro cases run on gauss.csv times c = 2^-20: series c times,
+    eigenvalues and cross-covariances c^2 times their twins', the same
+    cross-correlations and iterations."""
+    c = 2.0**-20
+    for micro, twin in (("ipca-micro", "ipca-chunk200"), ("ewmpca-micro", "ewmpca-numeric")):
+        assert np.array_equal(read_table(out / f"{micro}.csv").data,
+                              c * read_table(out / f"{twin}.csv").data)
+    runs = {case: json.loads((out / f"{case}.json").read_text())
+            for case in ("ipca-micro", "ipca-chunk200", "ewmpca-micro", "ewmpca-numeric")}
+    runs.update({case: json.loads((out / f"{case}_run.json").read_text())
+                 for case in ("compare-micro", "compare-numeric")})
+    for micro, twin in (("ipca-micro", "ipca-chunk200"), ("ewmpca-micro", "ewmpca-numeric"),
+                        ("compare-micro", "compare-numeric")):
+        assert np.array_equal(np.array(runs[micro]["eigenvalues"]),
+                              c * c * np.array(runs[twin]["eigenvalues"]))
+        assert runs[micro]["iterations"] == runs[twin]["iterations"]
+    ipca = (runs["ipca-micro"]["diagnostics"], runs["ipca-chunk200"]["diagnostics"])
+    assert ipca[0]["fallback_chunks"] == ipca[1]["fallback_chunks"]
+    assert np.array_equal(labeled_matrix(out / "compare-micro_crosscovariance.csv"),
+                          c * c * labeled_matrix(out / "compare-numeric_crosscovariance.csv"))
+    assert ((out / "compare-micro_crosscorrelation.csv").read_bytes()
+            == (out / "compare-numeric_crosscorrelation.csv").read_bytes())
+
+
+def labeled_matrix(path):
+    """The numbers of a matrix CSV written with a header and a label column."""
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(cell) for cell in line.split(",")[1:]] for line in lines])
 
 
 def test_kernel_timing_replays_from_the_benchmark_model():
