@@ -128,6 +128,15 @@ def _write_sidecar(
     write_sidecar(path, payload)
 
 
+def _read_observations(path) -> ObservationTable:
+    """The table every command but ``synth`` reads, refused if it holds no
+    observation row."""
+    table = read_table(path)
+    if table.n_rows == 0:
+        raise ValueError(f"{path}: no observation rows")
+    return table
+
+
 def cmd_synth(args) -> None:
     if args.kind == "stationary-gaussian":
         data = synth.stationary_gaussian(args.rows, args.cols, seed=args.seed)
@@ -153,9 +162,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_ipca(args) -> None:
-    table = read_table(args.input)
-    if table.n_rows == 0:
-        raise ValueError(f"{args.input}: no observation rows")
+    table = _read_observations(args.input)
     bounds = chunk_bounds(table, args.chunk_spec)
     model = IteratedPCA()
     pieces: list[np.ndarray] = []
@@ -240,7 +247,7 @@ _EWM_PARAMS = ("input", "alpha", "grid", "burn_in")
 
 
 def cmd_ewmpca(args) -> None:
-    table = read_table(args.input)
+    table = _read_observations(args.input)
     alpha, ml, model, series = _run_ewm(args, table.data)
     write_table(args.output, ObservationTable(_pc_names(series.shape[1]), series, table.timestamps))
     final = model.eigenvalues()
@@ -281,7 +288,7 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 
 
 def cmd_estimate_alpha(args) -> None:
-    table = read_table(args.input)
+    table = _read_observations(args.input)
     grid, alpha, curve, burn_in = _fit_alpha(args, table.data)
     write_table(args.output, ObservationTable(["alpha", "loglik"], np.column_stack([grid, curve])))
     _write_sidecar(
@@ -296,7 +303,7 @@ def cmd_estimate_alpha(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    table = read_table(args.input)
+    table = _read_observations(args.input)
     alpha, ml, model, z_moving = _run_ewm(args, table.data)
     pca = IteratedPCA()
     z_classic = pca.fit_transform(table.data)

@@ -1,7 +1,7 @@
 """CSV observation tables and JSON run sidecars.
 
-Dialect: comma-separated, mandatory header row, '.' decimal point, CRLF
-line ends.  A first column named exactly ``timestamp`` holds
+Dialect: UTF-8 text, comma-separated, mandatory header row, '.' decimal
+point, CRLF line ends.  A first column named exactly ``timestamp`` holds
 ISO-8601 text and is kept out of the numeric matrix.  Numbers are written as
 ``%.17g`` (17 significant digits, which round-trips IEEE doubles losslessly),
 so any file written here can be re-ingested by any command without drift.
@@ -102,16 +102,17 @@ _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 def _read_plain(path) -> ObservationTable | None:
     """The table at ``path`` if it is a plain table that numpy's reader parses
-    into finite numbers, else None.  The cells are then split exactly as the
+    into finite numbers, else None; a ValueError naming ``path`` if the file
+    is not UTF-8 text, which every read decodes here first.  The cells are then split exactly as the
     ``csv`` reader splits them, and every number has the bits ``float()``
     gives it, so the result equals the row reader's."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             # line by line, as the row reader reads: one string of the whole
             # file would raise the peak memory of a read
             lines = fh.readlines()
-    except UnicodeDecodeError:
-        return None  # the row reader raises it where its stream meets it
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
     if len(lines) < 2 or not all(map(str.isascii, lines)):
         return None
     if any(any(map(str.__contains__, lines, repeat(c))) for c in _NOT_PLAIN):
@@ -152,7 +153,7 @@ def _read_plain(path) -> ObservationTable | None:
 def _read_rows(path) -> ObservationTable:
     """The ``csv`` row reader: parses any file ``read_table`` accepts and
     words every error."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
@@ -195,7 +196,7 @@ def _write_rows(path, header: list[str], matrix: np.ndarray, labels=None) -> Non
     """Write ``header``, then one line per row of ``matrix``, led by its entry
     of ``labels`` unless that is None.  Streams row by row."""
     numbers = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         write = fh.write
         csv.writer(fh).writerow(header)
         if labels is None:

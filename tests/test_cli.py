@@ -33,6 +33,8 @@ def test_parse_chunk_spec():
         parse_chunk_spec("chunk=0")
     with pytest.raises(ValueError, match="unknown chunking unit"):
         parse_chunk_spec("by=week")
+    with pytest.raises(ValueError, match="^bad chunk size in 'chunk=abc'$"):
+        parse_chunk_spec("chunk=abc")
 
 
 def test_parse_grid_spec():
@@ -42,6 +44,8 @@ def test_parse_grid_spec():
         parse_grid_spec("0.8,0.9")
     with pytest.raises(ValueError, match="positive"):
         parse_grid_spec("0.8:0.9:-0.1")
+    with pytest.raises(ValueError, match="^grid spec '0.9:0.5:0.1' produces no points$"):
+        parse_grid_spec("0.9:0.5:0.1")
     # an infinite step used to give the grid [nan], a NaN or infinite start or
     # stop "cannot convert float NaN to integer"
     for spec in ("0.5:0.9:inf", "nan:0.9:0.1", "0.5:inf:0.1"):
@@ -193,6 +197,14 @@ def test_synth_regime_switch_needs_switch_points(tmp_path, capsys):
     )
     assert rc == 1
     assert "switch-points" in capsys.readouterr().err
+    rc = main(
+        ["synth", "--kind", "regime-switch", "--rows", "50", "--cols", "2",
+         "--switch-points", "1,x", "--output", str(tmp_path / "r.csv")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --switch-points must be a comma-separated list of integers\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_unknown_kind_rejected(tmp_path):
@@ -317,6 +329,36 @@ def test_ipca_by_year_without_timestamps_fails(tmp_path, capsys):
                "--output", str(tmp_path / "z.csv")])
     assert rc == 1
     assert "timestamp" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_one_named_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1.0,2.0\n\xff,3.0\n")
+    rc = main(["ipca", str(bad), "--chunk-spec", "chunk=10",
+               "--output", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("ipca", ["--chunk-spec", "chunk=10"]),
+        ("ewmpca", ["--alpha", "0.97"]),
+        ("estimate-alpha", []),
+        ("compare", ["--alpha", "0.97"]),
+    ],
+)
+def test_header_only_table_is_refused_by_every_command(tmp_path, capsys, command, flags):
+    # ewmpca used to exit 0 with an empty series, compare and estimate-alpha to
+    # say "X must have at least one row and one column", naming no file
+    inp = tmp_path / "empty.csv"
+    inp.write_text("x1,x2\n")
+    target = ["--output-prefix", str(tmp_path / "c_")] if command == "compare" else [
+        "--output", str(tmp_path / "z.csv")]
+    assert main([command, str(inp), *flags, *target]) == 1
+    assert capsys.readouterr().err == f"error: {inp}: no observation rows\n"
+    assert list(tmp_path.iterdir()) == [inp]
 
 
 def test_ipca_unparseable_row_names_line(tmp_path, capsys):

@@ -89,6 +89,11 @@ def test_add_dimension_mismatch():
     model.add([1.0, 2.0])
     with pytest.raises(ValueError, match="dimension"):
         model.add([1.0, 2.0, 3.0])
+    # a given basis sets the dimension of the first observation
+    with pytest.raises(
+        ValueError, match="^observation 1: observation has dimension 2, basis has 3$"
+    ):
+        EwmPCA(0.9, initial_basis=np.eye(3)).add([1.0, 2.0])
 
 
 def test_add_rejects_non_finite():
@@ -153,6 +158,11 @@ def test_refinement_controls_checked_when_built(controls):
         refine_to_convergence(np.eye(2), np.eye(2), **controls)
     with pytest.raises(TypeError, match="tol"):
         EwmPCA(0.9, **controls)
+
+
+def test_initial_basis_must_be_square():
+    with pytest.raises(ValueError, match="^initial basis must be square$"):
+        EwmPCA(0.9, initial_basis=np.eye(3)[:, :2])
 
 
 def test_initial_basis_must_be_near_orthonormal():
@@ -310,6 +320,12 @@ def test_empty_input_leaves_state_unchanged():
     out = model.add_all(np.zeros((0, 4)))
     assert out.shape == (0, 4)
     assert np.array_equal(model.state.cov, cov_before)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 0)], ids=["1-d", "no-column"])
+def test_add_all_needs_a_matrix_with_a_column(shape):
+    with pytest.raises(ValueError, match=r"^X must be 2-d with at least one column, got shape"):
+        EwmPCA(0.9).add_all(np.ones(shape))
 
 
 def test_first_output_row_is_zero_and_aligned():

@@ -144,6 +144,14 @@ def test_missing_header(tmp_path):
         read_table(path)
 
 
+def test_non_utf8_file_is_named(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\r\n1.0,2.0\r\n\xff,3.0\r\n")
+    with pytest.raises(ValueError) as err:
+        read_table(path)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 def test_empty_body_gives_zero_rows(tmp_path):
     path = tmp_path / "only_header.csv"
     path.write_text("a,b\n")
