@@ -103,9 +103,9 @@ _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 def _read_plain(path) -> ObservationTable | None:
     """The table at ``path`` if it is a plain table that numpy's reader parses
     into finite numbers, else None; a ValueError naming ``path`` if the file
-    is not UTF-8 text, which every read decodes here first.  The cells are then split exactly as the
-    ``csv`` reader splits them, and every number has the bits ``float()``
-    gives it, so the result equals the row reader's."""
+    is not UTF-8 text, which every read decodes here first.  The cells are
+    then split exactly as the ``csv`` reader splits them, and every number has
+    the bits ``float()`` gives it, so the result equals the row reader's."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             # line by line, as the row reader reads: one string of the whole

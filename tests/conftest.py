@@ -57,21 +57,19 @@ def hard_streams(n):
 HARD_STREAMS = list(hard_streams(2))
 
 
-TENORS = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 30.0])
-
-
 def yield_curve_changes(n=1500, scale=1.0):
     """Daily changes of a 10-tenor yield curve in basis points times ``scale``
     (1e-4 gives decimal units): Nelson-Siegel level, slope and curvature
     loadings [1, s, s - e^(-tau/1.5)], s = (1 - e^(-tau/1.5)) / (tau/1.5),
     with factor standard deviations 6, 4 and 2 bp, plus 0.01 bp of noise per
     tenor; the factors are drawn first, then the noise."""
+    tenors = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 30.0])
+    decay = np.exp(-tenors / 1.5)
+    slope = (1.0 - decay) / (tenors / 1.5)
+    loadings = np.stack([np.ones_like(tenors), slope, slope - decay])
     rng = np.random.default_rng(0)
-    decay = np.exp(-TENORS / 1.5)
-    slope = (1.0 - decay) / (TENORS / 1.5)
-    loadings = np.stack([np.ones_like(TENORS), slope, slope - decay])
     factors = rng.standard_normal((n, 3)) * [6.0, 4.0, 2.0]
-    noise = 0.01 * rng.standard_normal((n, TENORS.size))
+    noise = 0.01 * rng.standard_normal((n, tenors.size))
     return (factors @ loadings + noise) * scale
 
 

@@ -14,7 +14,6 @@ scaled by a power of two give the same bases, bit for bit.
 
 import functools
 
-
 import numpy as np
 import pytest
 
@@ -119,16 +118,15 @@ def chunk_fits(x):
 @pytest.mark.parametrize("name", SCALED_STREAMS)
 def test_models_scale_exactly_with_the_data(name, k):
     c = 2.0**-k
+    x = c * SCALED_STREAMS[name]()
     ewm, series, fits = unit_runs(name)
     scaled = EwmPCA(0.97)
-    assert np.array_equal(scaled.add_all(c * SCALED_STREAMS[name]()) / c, series)
+    assert np.array_equal(scaled.add_all(x) / c, series)
     assert np.array_equal(scaled.basis, ewm.basis)
     assert np.array_equal(scaled.eigenvalues(), c * c * ewm.eigenvalues())
     assert scaled.iteration_summary() == ewm.iteration_summary()
     assert scaled.fallback_count == ewm.fallback_count > 0
-    for (v, lam, diag), (unit_v, unit_lam, unit_diag) in zip(
-        chunk_fits(c * SCALED_STREAMS[name]()), fits
-    ):
+    for (v, lam, diag), (unit_v, unit_lam, unit_diag) in zip(chunk_fits(x), fits):
         assert np.array_equal(v, unit_v)
         assert np.array_equal(lam, c * c * unit_lam)
         if diag is not None:

@@ -119,8 +119,8 @@ def assert_micro_cases_scale_exactly(out):
         assert np.array_equal(np.array(runs[micro]["eigenvalues"]),
                               c * c * np.array(runs[twin]["eigenvalues"]))
         assert runs[micro]["iterations"] == runs[twin]["iterations"]
-    ipca = (runs["ipca-micro"]["diagnostics"], runs["ipca-chunk200"]["diagnostics"])
-    assert ipca[0]["fallback_chunks"] == ipca[1]["fallback_chunks"]
+    assert (runs["ipca-micro"]["diagnostics"]["fallback_chunks"]
+            == runs["ipca-chunk200"]["diagnostics"]["fallback_chunks"])
     assert np.array_equal(labeled_matrix(out / "compare-micro_crosscovariance.csv"),
                           c * c * labeled_matrix(out / "compare-numeric_crosscovariance.csv"))
     assert ((out / "compare-micro_crosscorrelation.csv").read_bytes()
