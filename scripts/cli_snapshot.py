@@ -4,12 +4,13 @@ Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
 order, a rank-one table, small noise ending in a 1e150 outlier, the Gaussian
-table times 2^-20).  Two derived tables are not plain, so that they take the
-``csv`` row reader where the others take numpy's: one has quoted timestamps
-that hold a comma, one LF line ends and blank lines.  Every command runs in
-OUTDIR with relative paths, so the files it writes, and the stdout, stderr
-and exit code captured as ``<case>.stdout``, ``<case>.stderr`` and
-``<case>.exit``, do not depend on where the checkout lives.  Commands run
+table times 2^-20 and times 2^-300).  Two derived tables are not plain, so
+that they take the ``csv`` row reader where the others take numpy's: one has
+quoted timestamps that hold a comma, one LF line ends and blank lines.
+Every command runs in OUTDIR with relative paths, so the files it writes,
+and the stdout, stderr and exit code captured as ``<case>.stdout``,
+``<case>.stderr`` and ``<case>.exit``, do not depend on where the checkout
+lives.  Commands run
 with ``-W error::RuntimeWarning``, so a numpy warning fails its case with a
 traceback instead of passing unseen.  Two snapshots compare with
 ``diff -r``: run this script from each checkout into its own OUTDIR.
@@ -80,6 +81,10 @@ COMMANDS = [
     ("ipca-micro", ["ipca", "gauss_micro.csv", "--chunk-spec", "chunk=200"]),
     ("ewmpca-micro", ["ewmpca", "gauss_micro.csv", "--alpha", "0.97"]),
     ("compare-micro", ["compare", "gauss_micro.csv", "--alpha", "0.97"]),
+    # gauss.csv times 2^-300, where the squares of the unscaled covariance underflow
+    ("ipca-tiny", ["ipca", "gauss_tiny.csv", "--chunk-spec", "chunk=200"]),
+    ("ewmpca-tiny", ["ewmpca", "gauss_tiny.csv", "--alpha", "0.97"]),
+    ("compare-tiny", ["compare", "gauss_tiny.csv", "--alpha", "0.97"]),
     # error cases
     ("error-ipca-overflow-first-chunk", ["ipca", "overflow_head.csv", "--chunk-spec",
                                          "chunk=100"]),
@@ -171,9 +176,11 @@ def derive_inputs(outdir: Path) -> None:
              for row in rows[:60]]
     term = ["x1,x2", *small[:59], "1e150," + small[59].partition(",")[2]]
     (outdir / "overflow_term.csv").write_text("\r\n".join(term) + "\r\n", newline="")
-    # every value times 2^-20, which is exact in binary and written exactly
-    micro = [",".join(f"{float(v) * 2.0**-20:.17g}" for v in row.split(",")) for row in rows]
-    (outdir / "gauss_micro.csv").write_text("\r\n".join([header, *micro]) + "\r\n", newline="")
+    # every value times 2^-20 or 2^-300, which is exact in binary and written exactly
+    for name, k in (("micro", 20), ("tiny", 300)):
+        small = [",".join(f"{float(v) * 2.0**-k:.17g}" for v in row.split(",")) for row in rows]
+        (outdir / f"gauss_{name}.csv").write_text("\r\n".join([header, *small]) + "\r\n",
+                                                  newline="")
 
 
 def main(argv=None) -> int:

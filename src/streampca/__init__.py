@@ -26,7 +26,6 @@ from .linalg import (
     sample_covariance,
 )
 from .refine import (
-    DivergenceError,
     RecoveryError,
     RefineDiagnostics,
     estimate_eigenvalues,
@@ -40,7 +39,6 @@ __all__ = [
     "EigenBasis",
     "EwmPCA",
     "EwmState",
-    "DivergenceError",
     "IteratedPCA",
     "RecoveryError",
     "RefineDiagnostics",

@@ -26,7 +26,7 @@ from .ewmpca import EwmPCA
 from .ewmstats import _check_burn_in, default_alpha_grid, estimate_alpha
 from .ipca import IteratedPCA
 from .linalg import cross_statistics
-from .refine import DivergenceError
+from .refine import RecoveryError
 from .tableio import (
     ObservationTable,
     format_float,
@@ -176,7 +176,7 @@ def cmd_ipca(args) -> None:
         chunk = table.data[lo:hi]
         try:
             model.fit(chunk)
-        except (ValueError, OverflowError, DivergenceError) as err:
+        except (ValueError, OverflowError, RecoveryError) as err:
             raise type(err)(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
         diag = model.last_fit_diagnostics_
         if diag is not None and diag.fallback:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
-from .linalg import as_matrix, frobenius_norm, jacobi_eigh, sample_covariance
-from .refine import DivergenceError, refine_to_convergence
+from .linalg import as_matrix, jacobi_eigh, sample_covariance
+from .refine import RecoveryError, _check_start, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis"]
 
@@ -56,9 +56,9 @@ class EwmPCA:
     Parameters
     ----------
     alpha : decay of the moving moments, strictly inside (0, 1)
-    initial_basis : optional (p, p) near-orthonormal starting basis, e.g.
-        from :func:`seed_initial_basis`; when omitted, the first observation
-        sets the identity
+    initial_basis : optional (p, p) start, e.g. from :func:`seed_initial_basis`,
+        with ||I - W^T W||_F <= ``refine.MAX_DRIFT`` (the kernel's start gate);
+        when omitted, the first observation sets the identity
 
     Each observation's refinement stops by the kernel's fixed rule
     (:func:`streampca.refine.refine_to_convergence`); no caller sets it.
@@ -81,13 +81,7 @@ class EwmPCA:
             basis = as_matrix(initial_basis, "initial_basis")
             if basis.shape[0] != basis.shape[1]:
                 raise ValueError("initial basis must be square")
-            # entries past about 1e154 overflow W^T W: drift is then inf or NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                drift = frobenius_norm(basis.T @ basis - np.eye(basis.shape[0]))
-            if not drift <= 1e-3:
-                raise ValueError(
-                    f"initial basis is not near-orthonormal (||W^T W - I||_F = {drift:.3e})"
-                )
+            _check_start(basis, "initial basis")
             self._basis = basis.copy(order="F")
         self._ewm: EwmState | None = None
         self._eigenvalues: np.ndarray | None = None
@@ -152,7 +146,7 @@ class EwmPCA:
                 return np.zeros(p)
             state = ewm_update(self._ewm, x)
             basis, diagnostics = refine_to_convergence(state.cov, self._basis)
-        except (ValueError, OverflowError, DivergenceError) as err:
+        except (ValueError, OverflowError, RecoveryError) as err:
             raise type(err)(f"observation {count}: {err}") from err
         centered = x - state.mean
         self._ewm = state

@@ -61,13 +61,11 @@ class IteratedPCA:
         means, cov = sample_covariance(x)
         if self.fitted:
             self._check_columns(means.shape[0])
-        diagnostics: RefineDiagnostics | None = None
-        if not self.fitted:
-            basis = jacobi_eigh(cov)
-            vectors, values = basis.vectors, basis.values
-        else:
             vectors, diagnostics = refine_to_convergence(cov, self.components_)
             values = diagnostics.eigenvalues
+        else:
+            basis = jacobi_eigh(cov)
+            vectors, values, diagnostics = basis.vectors, basis.values, None
         self.means_ = means
         self.components_ = vectors
         self.explained_variance_ = values

@@ -3,8 +3,8 @@
 Plain float64 numpy arrays throughout.  The round-robin Jacobi solver is kept
 independent of the refinement machinery on purpose: it provides first-fit
 eigenbases and doubles as the reference decomposition in tests.  It stops
-relative to ||A||_F, as the refinement's certificate does, so results do not
-depend on the units of the data as long as no square underflows.
+relative to ||A||_F, as the refinement's certificate does, and runs on A scaled
+by a power of two, so results do not depend on the units of the data.
 """
 
 from __future__ import annotations
@@ -62,16 +62,20 @@ def overflow_error(what: str, m) -> OverflowError:
                          "rescale the data")
 
 
-def checked_norm(m: np.ndarray, name: str, where: str) -> float:
-    """||M||_F of a square float64 array, or the one refusal of the numerical core: ValueError
-    if M holds a NaN or an infinity, else OverflowError, prefixed ``where``, if ||M|| does."""
-    with np.errstate(over="ignore"):
-        norm = frobenius_norm(m)
-    if math.isfinite(norm):
-        return norm
-    if not np.isfinite(m).all():
+def checked_norm(m: np.ndarray, name: str, where: str) -> tuple[np.ndarray, int, float]:
+    """(M 2^-e, e, ||M 2^-e||_F) for a square float64 array M, with e the binary exponent of
+    max |m_ij|, so that no square of the scaled copy over- or underflows; or the one refusal
+    of the numerical core: ValueError if M holds a NaN or an infinity, else OverflowError,
+    prefixed ``where``, if ||M||_F >= 2^512, where its square overflows float64."""
+    top = np.abs(m).max()
+    if not math.isfinite(top):
         raise ValueError(f"{name} contains non-finite entries")
-    raise overflow_error(f"{where}: the Frobenius norm of the {len(m)} x {len(m)} input", m)
+    e = math.frexp(top)[1]
+    scaled = np.ldexp(m, -e)
+    norm = frobenius_norm(scaled)
+    if math.frexp(norm)[1] + e > 512:
+        raise overflow_error(f"{where}: the Frobenius norm of the {len(m)} x {len(m)} input", m)
+    return scaled, e, norm
 
 
 def fix_column_signs(v) -> np.ndarray:
@@ -121,15 +125,16 @@ def jacobi_eigh(a) -> EigenBasis:
     the same vectors, bit for bit, and its values scaled by that power.  Column
     signs are pinned by ``fix_column_signs``; fixed order, no randomness.  The
     raw A passes the kernel's gate, ``checked_norm``: ValueError for a NaN or an
-    infinity, OverflowError if ||A||_F overflows float64 (the stop test would
-    pass at once).  Sweeps run on (A + A^T)/2, which IEEE addition makes
-    bit-identical for A and A^T, and cannot overflow once ||A||_F is finite.
+    infinity, OverflowError if ||A||_F^2 overflows float64.  Sweeps run on
+    (A + A^T)/2 of the gate's copy 2^-e A, which IEEE addition makes
+    bit-identical for A and A^T and whose squares neither over- nor underflow,
+    and the values are scaled back by 2^e.
     RuntimeError after ``MAX_SWEEPS`` sweeps.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
-    checked_norm(a, "matrix", "Jacobi eigensolver")
+    a, e, _ = checked_norm(a, "matrix", "Jacobi eigensolver")
     work = (a + a.T) / 2.0
     norm = frobenius_norm(work)
     n = work.shape[0]
@@ -175,7 +180,7 @@ def jacobi_eigh(a) -> EigenBasis:
             cells[pq] = cells[qp] = np.where(rot, 0.0, apq)
         work = (work + work.T) / 2.0  # J^T (W J) rounds rows and columns apart
         sweep += 1
-    values = np.diag(work).copy()
+    values = np.ldexp(np.diag(work), e)
     order = np.argsort(-values, kind="stable")
     return EigenBasis(vectors=fix_column_signs(vectors[:, order]), values=values[order])
 

@@ -17,7 +17,8 @@ falling back to r_ij / 2 for clustered pairs (the diagonal always falls back:
 its gap is zero).  The next iterate is Xhat + Xhat @ E.  Started close enough
 to the true basis, the iteration converges monotonically and quadratically;
 see T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
-decomposition", Japan J. Indust. Appl. Math. 35 (2018).
+decomposition", Japan J. Indust. Appl. Math. 35 (2018).  So
+``refine_to_convergence`` refuses a start with ||I - Xhat^T Xhat|| > MAX_DRIFT.
 
 All norms are Frobenius, a cheap upper bound on the spectral norm used in
 the original analysis.  Overestimating delta only routes more pairs to the
@@ -32,7 +33,8 @@ component order of a first fit.
 When delta exceeds every gap, an orthonormal Xhat gets E = 0: a false fixed
 point.  So a stop is certified, and a failed one rotates Xhat by the Jacobi
 eigenbasis of the whole S; for small p this stands in for the clustered-block
-step of Ogita and Aishima, JJIAM 36 (2019).
+step of Ogita and Aishima, JJIAM 36 (2019).  Each entry works on the gate's
+copy 2^-e A and scales its eigenvalues back by 2^e; the stop rules are relative.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .linalg import checked_norm, frobenius_norm, jacobi_eigh
 
 __all__ = [
     "CERT_RTOL",
-    "DivergenceError",
+    "MAX_DRIFT",
     "RecoveryError",
     "RefineDiagnostics",
     "TOL",
@@ -61,29 +63,22 @@ __all__ = [
 # and takes the Jacobi rotation, or fails.
 TOL = 1e-6
 
-# Step norms growing past this multiple of the first step norm of a pass end
-# it early.  Only starts far from orthonormal trip it (the tests' 10 x and
-# 40 x standard-normal bases): random orthonormal starts, perturbed or not, on
-# geometric, clustered, rank-deficient, near-isotropic and graded spectra
-# (p = 2-32), and the benchmark's and the hard test streams never have.
-DIVERGENCE_FACTOR = 1e6
+# A start is refused when ||I - Xhat^T Xhat|| exceeds this bound.  ||R||_2 < 1
+# is sufficient for the r_ij/2 branch, the Newton-Schulz step Xhat (I + R/2),
+# to converge: it maps each eigenvalue r of R to r^2 (3 + r) / 4.
+MAX_DRIFT = 1.0
 
 # Step cap of each pass, before and after the one Jacobi rotation, so a call
 # takes at most 2 x MAX_ITER steps.  Step norms that stay bounded without
-# contracting would otherwise neither converge nor trip the divergence guard;
-# a stop at the cap passes the same certificate as a tolerance stop and is
-# reported as ``truncated=True``.
+# contracting would otherwise never stop; a stop at the cap passes the same
+# certificate as a tolerance stop and is reported as ``truncated=True``.
 MAX_ITER = 100
 
 # A stop is certified when ||S - D|| <= CERT_RTOL ||A||.
 CERT_RTOL = 1e-10
 
 
-class DivergenceError(RuntimeError):
-    """Refinement step norms blew up instead of contracting."""
-
-
-class RecoveryError(DivergenceError):
+class RecoveryError(RuntimeError):
     """Refinement failed again after its one Jacobi rotation of S."""
 
 
@@ -105,10 +100,10 @@ class RefineDiagnostics:
     eigenvalues: np.ndarray = field(compare=False)
 
 
-def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, float]:
-    """(A, Xhat, ||A||): A coerced to float64 and Xhat to float64 in F order, the
-    layout of every returned basis, once the shapes and the one gate of the
-    numerical core, :func:`streampca.linalg.checked_norm`, pass Xhat, then A."""
+def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(2^-e A, Xhat, e, ||2^-e A||), Xhat in float64 F order, the layout of every
+    returned basis, once the shapes and the one gate of the numerical core,
+    :func:`streampca.linalg.checked_norm`, pass Xhat, then A, which it scales."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asfortranarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -118,7 +113,18 @@ def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, float]:
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
         )
     checked_norm(xhat, "Xhat", "refinement")
-    return a, xhat, checked_norm(a, "A", "refinement")
+    a, e, norm_a = checked_norm(a, "A", "refinement")
+    return a, xhat, e, norm_a
+
+
+def _check_start(x: np.ndarray, name: str) -> None:
+    """Refuse, with ValueError and no numpy warning, a square float64 start ``x``
+    with ||I - X^T X||_F above MAX_DRIFT, or whose X^T X overflows (inf or NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = frobenius_norm(np.eye(len(x)) - np.dot(x.T, x))
+    if not drift <= MAX_DRIFT:
+        raise ValueError(f"{name} is not near-orthonormal (||I - X^T X||_F = {drift:.3e}"
+                         f" > {MAX_DRIFT:g})")
 
 
 def _rayleigh(a: np.ndarray, xhat: np.ndarray):
@@ -159,7 +165,8 @@ def estimate_eigenvalues(a, xhat) -> np.ndarray:
     when ||A|| overflows float64, and ValueError when some |1 - r_ii| < 1e-14,
     i.e. a column of Xhat has near-zero norm and the quotient is meaningless.
     """
-    return _rayleigh(*_check_pair(a, xhat)[:2])[0]
+    a, xhat, e, _ = _check_pair(a, xhat)
+    return np.ldexp(_rayleigh(a, xhat)[0], e)
 
 
 def _step(a: np.ndarray, xhat: np.ndarray, norm_a: float) -> np.ndarray:
@@ -187,7 +194,8 @@ def refine_step(a, xhat) -> np.ndarray:
     diagonal make every entry of E vanish).  Raises ValueError when A or Xhat
     has a non-finite entry, and OverflowError when ||A|| overflows float64.
     """
-    return _step(*_check_pair(a, xhat))
+    a, xhat, _, norm_a = _check_pair(a, xhat)
+    return _step(a, xhat, norm_a)
 
 
 def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
@@ -202,15 +210,16 @@ def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
     ``diagnostics.eigenvalues``.  TOL, MAX_ITER and CERT_RTOL are module
     constants: no caller sets them.
 
-    Once per call, a failed certificate rotates the iterate, and a step norm
-    above DIVERGENCE_FACTOR times the first of its pass rotates the incoming
-    basis, by the Jacobi eigenbasis of S (``diagnostics.fallback``); a second
-    pass of at most MAX_ITER steps follows.  A second failure raises
-    RecoveryError, a DivergenceError.  Raises OverflowError before the first
-    step when ||A|| overflows float64, and ValueError when A or Xhat has a
-    non-finite entry.
+    Once per call, a failed certificate rotates the iterate by the Jacobi
+    eigenbasis of S (``diagnostics.fallback``); a second pass of at most
+    MAX_ITER steps follows, and a second failure raises RecoveryError.
+    Before the first step, raises OverflowError when ||A|| overflows float64,
+    and ValueError when A or Xhat has a non-finite entry or when
+    ||I - Xhat^T Xhat||_F > MAX_DRIFT: the iteration converges only from a
+    start near an orthonormal basis.
     """
-    a, xhat, norm_a = _check_pair(a, xhat)
+    a, xhat, e, norm_a = _check_pair(a, xhat)
+    _check_start(xhat, "Xhat")
     x = xhat
     steps: list[float] = []
     first, fallback = 0, False  # first: index of the current pass's first step
@@ -219,32 +228,26 @@ def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
         eps = frobenius_norm(new_x - x)
         steps.append(eps)
         truncated = len(steps) - first == MAX_ITER
-        if truncated or eps < TOL:
-            lam, _, s_minus_d = _rayleigh(a, new_x)
-            off = frobenius_norm(s_minus_d)
-            if off <= CERT_RTOL * norm_a:
-                break
-            failure = (f"uncertified stop{' at the step cap' if truncated else ''}: "
-                       f"||S - D|| = {off:.3e} > {CERT_RTOL:.0e} x ||A||")
-            restart = new_x
-        elif eps > DIVERGENCE_FACTOR * steps[first]:
-            failure = (f"refinement diverging: step norm {eps:.3e} exceeds {DIVERGENCE_FACTOR:.0e}"
-                       f" x first step norm {steps[first]:.3e} after {len(steps)} iterations")
-            restart = xhat
-        else:
-            x = new_x
+        x = new_x
+        if not (truncated or eps < TOL):
             continue
+        lam, _, s_minus_d = _rayleigh(a, x)
+        off = frobenius_norm(s_minus_d)
+        if off <= CERT_RTOL * norm_a:
+            break
         if fallback:
-            raise RecoveryError(f"{failure}, after a Jacobi rotation of S")
+            raise RecoveryError(f"uncertified stop{' at the step cap' if truncated else ''}: "
+                                f"||S - D|| = {math.ldexp(off, e):.3e} > {CERT_RTOL:.0e} x ||A||, "
+                                "after a Jacobi rotation of S")
         fallback, first = True, len(steps)
         # W's columns are positive at their largest entries: X W keeps signs
-        x = np.dot(restart, jacobi_eigh(np.dot(restart.T, np.dot(a, restart))).vectors)
+        x = np.dot(x, jacobi_eigh(np.dot(x.T, np.dot(a, x))).vectors)
     order = (-lam).argsort(kind="stable")
     diagnostics = RefineDiagnostics(
         iterations=len(steps),
         step_norm_history=tuple(steps),
         truncated=truncated,
         fallback=fallback,
-        eigenvalues=lam[order],
+        eigenvalues=np.ldexp(lam[order], e),
     )
-    return new_x[:, order], diagnostics
+    return x[:, order], diagnostics

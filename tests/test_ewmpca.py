@@ -4,7 +4,7 @@ import pytest
 from streampca import ewmpca, refine
 from streampca.ewmpca import EwmPCA, seed_initial_basis
 from streampca.linalg import frobenius_norm, sample_covariance
-from streampca.refine import DivergenceError, estimate_eigenvalues, refine_to_convergence
+from streampca.refine import RecoveryError, estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
 
 from conftest import record_refinements, worst_relative_residual
@@ -254,12 +254,12 @@ def test_divergence_error_carries_observation_index(monkeypatch):
     import streampca.ewmpca as mod
 
     def explode(*args, **kwargs):
-        raise DivergenceError("boom")
+        raise RecoveryError("boom")
 
     model = EwmPCA(0.9)
     model.add([1.0, 2.0])
     monkeypatch.setattr(mod, "refine_to_convergence", explode)
-    with pytest.raises(DivergenceError, match="observation 2"):
+    with pytest.raises(RecoveryError, match="observation 2"):
         model.add([3.0, 0.5])
 
 

@@ -9,7 +9,8 @@ online from the identity, must come back with an eigen-residual
 ``test_ewmpca.py::test_wide_input_seeds_from_p_plus_one_rows`` checks the
 same of ``add_all`` at p = 100.  Every stop rule is relative to ||A||_F, so
 a yield-curve table certifies in decimal units as in basis points, and data
-scaled by a power of two give the same bases, bit for bit.
+scaled by a power of two give the same bases, bit for bit, down to 2^-400,
+where the squares of the unscaled covariance would underflow.
 """
 
 import functools
@@ -114,7 +115,7 @@ def chunk_fits(x):
     return fits
 
 
-@pytest.mark.parametrize("k", [10, 20, 40])
+@pytest.mark.parametrize("k", [10, 20, 40, 260, 300, 400])
 @pytest.mark.parametrize("name", SCALED_STREAMS)
 def test_models_scale_exactly_with_the_data(name, k):
     c = 2.0**-k

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from streampca.ipca import IteratedPCA
 from streampca.linalg import frobenius_norm, jacobi_eigh, sample_covariance
-from streampca.refine import RecoveryError, estimate_eigenvalues, refine_to_convergence
+from streampca.refine import estimate_eigenvalues, refine_to_convergence
 from streampca.synth import stationary_gaussian, well_separated_covariance
 
 from conftest import random_orthogonal
@@ -208,13 +210,18 @@ def _stale_fitted_model(orthonormal, seed=12):
     return model, rng.standard_normal((200, 4))
 
 
-def test_wild_basis_raises_recovery_error():
+def test_wild_basis_is_refused():
     model, x = _stale_fitted_model(orthonormal=False)
-    # the rotated basis is as far from orthonormal and diverges again
-    with pytest.raises(RecoveryError, match="^refinement diverging: .* a Jacobi rotation of S$"):
-        model.fit(x)
+    before = (model.means_, model.components_, model.explained_variance_)
+    # the refinement converges only from a start near an orthonormal basis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^Xhat is not near-orthonormal"):
+            model.fit(x)
     # failed fit leaves the model state untouched
     assert model.fit_count_ == 1
+    assert all(new is old for new, old in
+               zip((model.means_, model.components_, model.explained_variance_), before))
 
 
 def test_stale_basis_recovers_by_one_rotation():

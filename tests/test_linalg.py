@@ -248,7 +248,7 @@ def test_jacobi_p100(shape):
     assert np.all(np.diff(basis.values) <= 0.0)
 
 
-@pytest.mark.parametrize("k", [10, 20, 40])
+@pytest.mark.parametrize("k", [10, 20, 40, 260, 300, 400])
 def test_jacobi_of_a_power_of_two_multiple_scales_exactly(k):
     # the stop rule is relative to ||A||: c^2 A takes the rotations of A
     c2 = 2.0 ** (-2 * k)

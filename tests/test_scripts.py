@@ -68,7 +68,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 49
+    assert len(cases) == 52
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists()
@@ -103,28 +103,29 @@ def test_cli_snapshot_captures_every_command(tmp_path):
 
 
 def assert_micro_cases_scale_exactly(out):
-    """The *-micro cases run on gauss.csv times c = 2^-20: series c times,
-    eigenvalues and cross-covariances c^2 times their twins', the same
-    cross-correlations and iterations."""
-    c = 2.0**-20
-    for micro, twin in (("ipca-micro", "ipca-chunk200"), ("ewmpca-micro", "ewmpca-numeric")):
-        assert np.array_equal(read_table(out / f"{micro}.csv").data,
-                              c * read_table(out / f"{twin}.csv").data)
-    runs = {case: json.loads((out / f"{case}.json").read_text())
-            for case in ("ipca-micro", "ipca-chunk200", "ewmpca-micro", "ewmpca-numeric")}
-    runs.update({case: json.loads((out / f"{case}_run.json").read_text())
-                 for case in ("compare-micro", "compare-numeric")})
-    for micro, twin in (("ipca-micro", "ipca-chunk200"), ("ewmpca-micro", "ewmpca-numeric"),
-                        ("compare-micro", "compare-numeric")):
-        assert np.array_equal(np.array(runs[micro]["eigenvalues"]),
-                              c * c * np.array(runs[twin]["eigenvalues"]))
-        assert runs[micro]["iterations"] == runs[twin]["iterations"]
-    assert (runs["ipca-micro"]["diagnostics"]["fallback_chunks"]
-            == runs["ipca-chunk200"]["diagnostics"]["fallback_chunks"])
-    assert np.array_equal(labeled_matrix(out / "compare-micro_crosscovariance.csv"),
-                          c * c * labeled_matrix(out / "compare-numeric_crosscovariance.csv"))
-    assert ((out / "compare-micro_crosscorrelation.csv").read_bytes()
-            == (out / "compare-numeric_crosscorrelation.csv").read_bytes())
+    """The *-micro and *-tiny cases run on gauss.csv times c = 2^-20 and
+    c = 2^-300: series c times, eigenvalues and cross-covariances c^2 times
+    their twins', the same cross-correlations and iterations."""
+    for size, c in (("micro", 2.0**-20), ("tiny", 2.0**-300)):
+        ipca, ewmpca, compare = (f"{cmd}-{size}" for cmd in ("ipca", "ewmpca", "compare"))
+        for case, twin in ((ipca, "ipca-chunk200"), (ewmpca, "ewmpca-numeric")):
+            assert np.array_equal(read_table(out / f"{case}.csv").data,
+                                  c * read_table(out / f"{twin}.csv").data)
+        runs = {case: json.loads((out / f"{case}.json").read_text())
+                for case in (ipca, "ipca-chunk200", ewmpca, "ewmpca-numeric")}
+        runs.update({case: json.loads((out / f"{case}_run.json").read_text())
+                     for case in (compare, "compare-numeric")})
+        for case, twin in ((ipca, "ipca-chunk200"), (ewmpca, "ewmpca-numeric"),
+                           (compare, "compare-numeric")):
+            assert np.array_equal(np.array(runs[case]["eigenvalues"]),
+                                  c * c * np.array(runs[twin]["eigenvalues"]))
+            assert runs[case]["iterations"] == runs[twin]["iterations"]
+        assert (runs[ipca]["diagnostics"]["fallback_chunks"]
+                == runs["ipca-chunk200"]["diagnostics"]["fallback_chunks"])
+        assert np.array_equal(labeled_matrix(out / f"{compare}_crosscovariance.csv"),
+                              c * c * labeled_matrix(out / "compare-numeric_crosscovariance.csv"))
+        assert ((out / f"{compare}_crosscorrelation.csv").read_bytes()
+                == (out / "compare-numeric_crosscorrelation.csv").read_bytes())
 
 
 def labeled_matrix(path):
