@@ -4,7 +4,7 @@ Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
 order, a rank-one table, small noise ending in a 1e150 outlier, the Gaussian
-table times 2^-20 and times 2^-300).  Two derived tables are not plain, so
+table times 2^-20, 2^-300 and 2^-600, stamped days out of time order).  Two derived tables are not plain, so
 that they take the ``csv`` row reader where the others take numpy's: one has
 quoted timestamps that hold a comma, one LF line ends and blank lines.
 Every command runs in OUTDIR with relative paths, so the files it writes,
@@ -100,6 +100,10 @@ COMMANDS = [
     ("error-estimate-alpha-overflow-moment", ["estimate-alpha", "overflow_moment.csv", *ML_GRID,
                                               "--burn-in", "20"]),
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
+    # the first day's rows moved after the last day's
+    ("error-ipca-out-of-order", ["ipca", "unordered.csv", "--chunk-spec", "by=day"]),
+    # gauss.csv times 2^-600: every square of the centred data is subnormal
+    ("error-ipca-underflow", ["ipca", "gauss_under.csv", "--chunk-spec", "chunk=200"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
     ("error-estimate-alpha-inf-step", ["estimate-alpha", "vc.csv", "--grid", "0.5:0.9:inf"]),
     # 1e15 decays: refused before the grid is built
@@ -161,6 +165,8 @@ def derive_inputs(outdir: Path) -> None:
     # the second day's date does not exist: every row of that day is bad
     bad_date = [line.replace("2021-01-05", "2021-02-30") for line in stamped]
     (outdir / "bad_date.csv").write_text("\r\n".join(bad_date) + "\r\n", newline="")
+    unordered = [stamped[0], *stamped[151:], *stamped[1:151]]
+    (outdir / "unordered.csv").write_text("\r\n".join(unordered) + "\r\n", newline="")
     # one half scaled by 1e78: finite entries, an overflowing ||S||_F
     half = len(rows) // 2
     scaled = [",".join(f"{float(v) * 1e78:.17g}" for v in row.split(",")) for row in rows]
@@ -176,8 +182,8 @@ def derive_inputs(outdir: Path) -> None:
              for row in rows[:60]]
     term = ["x1,x2", *small[:59], "1e150," + small[59].partition(",")[2]]
     (outdir / "overflow_term.csv").write_text("\r\n".join(term) + "\r\n", newline="")
-    # every value times 2^-20 or 2^-300, which is exact in binary and written exactly
-    for name, k in (("micro", 20), ("tiny", 300)):
+    # every value times 2^-20, 2^-300 or 2^-600, which is exact in binary and written exactly
+    for name, k in (("micro", 20), ("tiny", 300), ("under", 600)):
         small = [",".join(f"{float(v) * 2.0**-k:.17g}" for v in row.split(",")) for row in rows]
         (outdir / f"gauss_{name}.csv").write_text("\r\n".join([header, *small]) + "\r\n",
                                                   newline="")

@@ -85,7 +85,9 @@ def parse_chunk_spec(spec: str) -> tuple[str, object]:
 
 def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
     """Half-open row ranges [lo, hi) covering the table in order; under 'chunk=N'
-    a 1-row remainder (no sample covariance) joins the chunk before it."""
+    a 1-row remainder (no sample covariance) joins the chunk before it, and under
+    'by=' a key that sorts before the previous chunk's is refused, naming its line:
+    ISO-8601 prefixes sort in time order."""
     kind, value = parse_chunk_spec(spec)
     n = table.n_rows
     if kind == "chunk":
@@ -108,6 +110,12 @@ def chunk_bounds(table: ObservationTable, spec: str) -> list[tuple[int, int]]:
     width = _BY_PREFIX[value]
     keys = [ts[:width] for ts in table.timestamps]
     starts = [i for i in range(n) if i == 0 or keys[i] != keys[i - 1]]
+    for prev, i in zip(starts, starts[1:]):
+        if keys[i] < keys[prev]:
+            raise ValueError(
+                f"line {table.line_of(i)}: timestamp {table.timestamps[i]!r} sorts before "
+                f"the previous chunk's {keys[prev]!r}; by={value} needs rows in time order"
+            )
     return list(zip(starts, starts[1:] + [n]))
 
 
@@ -176,7 +184,7 @@ def cmd_ipca(args) -> None:
         chunk = table.data[lo:hi]
         try:
             model.fit(chunk)
-        except (ValueError, OverflowError, RecoveryError) as err:
+        except (ValueError, OverflowError, FloatingPointError, RecoveryError) as err:
             raise type(err)(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
         diag = model.last_fit_diagnostics_
         if diag is not None and diag.fallback:

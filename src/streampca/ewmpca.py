@@ -35,7 +35,8 @@ def seed_initial_basis(x) -> np.ndarray:
 
     Needs at least p + 1 rows so the covariance can have full rank.  Column
     signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  An
-    overflow or eigensolver failure names the rows read (``seed rows 1-n: ``).
+    overflow, an underflow or an eigensolver failure names the rows read
+    (``seed rows 1-n: ``).
     """
     arr = as_matrix(x, "x")
     n, p = arr.shape
@@ -46,7 +47,7 @@ def seed_initial_basis(x) -> np.ndarray:
     try:
         _, cov = sample_covariance(arr)
         return jacobi_eigh(cov).vectors
-    except (OverflowError, RuntimeError) as err:
+    except (OverflowError, FloatingPointError, RuntimeError) as err:
         raise type(err)(f"seed rows 1-{n}: {err}") from err
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "frobenius_norm",
+    "checked_max",
     "checked_norm",
     "overflow_error",
     "fix_column_signs",
@@ -62,20 +63,29 @@ def overflow_error(what: str, m) -> OverflowError:
                          "rescale the data")
 
 
-def checked_norm(m: np.ndarray, name: str, where: str) -> tuple[np.ndarray, int, float]:
-    """(M 2^-e, e, ||M 2^-e||_F) for a square float64 array M, with e the binary exponent of
-    max |m_ij|, so that no square of the scaled copy over- or underflows; or the one refusal
-    of the numerical core: ValueError if M holds a NaN or an infinity, else OverflowError,
-    prefixed ``where``, if ||M||_F >= 2^512, where its square overflows float64."""
+def checked_max(m: np.ndarray, name: str, where: str) -> float:
+    """max |m_ij| of a square float64 array M, or the one refusal of the numerical core:
+    ValueError if M holds a NaN or an infinity, else OverflowError, prefixed ``where``, if
+    ||M||_F >= 2^512, where its square overflows float64.  With max |m_ij| < 2^e,
+    ||M||_F < n 2^e, so only an n x n M with e + log2 n > 512 has that norm taken, of
+    M 2^-e, whose squares neither over- nor underflow."""
     top = np.abs(m).max()
     if not math.isfinite(top):
         raise ValueError(f"{name} contains non-finite entries")
     e = math.frexp(top)[1]
-    scaled = np.ldexp(m, -e)
-    norm = frobenius_norm(scaled)
-    if math.frexp(norm)[1] + e > 512:
+    if (e + math.frexp(len(m))[1] > 512
+            and math.frexp(frobenius_norm(np.ldexp(m, -e)))[1] + e > 512):
         raise overflow_error(f"{where}: the Frobenius norm of the {len(m)} x {len(m)} input", m)
-    return scaled, e, norm
+    return top
+
+
+def checked_norm(m: np.ndarray, name: str, where: str) -> tuple[np.ndarray, int, float]:
+    """(M 2^-e, e, ||M 2^-e||_F) for a square float64 array M that :func:`checked_max`
+    passes, with e the binary exponent of max |m_ij|, so that no square of the scaled
+    copy over- or underflows."""
+    e = math.frexp(checked_max(m, name, where))[1]
+    scaled = np.ldexp(m, -e)
+    return scaled, e, frobenius_norm(scaled)
 
 
 def fix_column_signs(v) -> np.ndarray:
@@ -187,7 +197,9 @@ def jacobi_eigh(a) -> EigenBasis:
 
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
     """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized.
-    Raises OverflowError, without a numpy warning, when finite data overflow it."""
+    Raises OverflowError, without a numpy warning, when finite data overflow it,
+    and FloatingPointError when the centred data are not all zero but all below
+    2^-511 in magnitude, so that every square is subnormal or zero."""
     mat = as_matrix(x, "X")
     n, p = mat.shape
     if n < 2:
@@ -199,6 +211,10 @@ def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
         q = (q + q.T) / 2.0
     if not np.isfinite(q).all():
         raise overflow_error(f"sample covariance of the {n} x {p} input", mat)
+    top = np.abs(centered).max()
+    if 0.0 < top < 2.0**-511:
+        raise FloatingPointError(f"sample covariance of the {n} x {p} input underflows float64 "
+                                 f"(largest centred entry {top:.3e}); rescale the data")
     return means, q
 
 

@@ -18,17 +18,16 @@ its gap is zero).  The next iterate is Xhat + Xhat @ E.  Started close enough
 to the true basis, the iteration converges monotonically and quadratically;
 see T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
 decomposition", Japan J. Indust. Appl. Math. 35 (2018).  So
-``refine_to_convergence`` refuses a start with ||I - Xhat^T Xhat|| > MAX_DRIFT.
+``refine_to_convergence`` refuses a start with ||R|| > MAX_DRIFT, read from
+the R of its first iterate before S is formed.
 
 All norms are Frobenius, a cheap upper bound on the spectral norm used in
 the original analysis.  Overestimating delta only routes more pairs to the
 conservative r_ij/2 branch, and in the stopping test Frobenius is the
-stricter criterion.  Each norm is one BLAS dot product of the raveled matrix
-with itself (:func:`streampca.linalg.frobenius_norm`), and ||S - D|| is taken
-of S with lambda subtracted from its diagonal in place, so a step builds
-neither D, I nor a copy of S.  ``refine_to_convergence`` returns the columns
-in descending order of their eigenvalue estimates, so a warm refit keeps the
-component order of a first fit.
+stricter criterion.  Each iterate's R, S - D and lambda are formed once and
+serve, in turn, the start gate, delta, the stop certificate and the returned
+eigenvalues.  ``refine_to_convergence`` sorts the columns by descending
+eigenvalue, so a warm refit keeps the component order of a first fit.
 
 When delta exceeds every gap, an orthonormal Xhat gets E = 0: a false fixed
 point.  So a stop is certified, and a failed one rotates Xhat by the Jacobi
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import checked_norm, frobenius_norm, jacobi_eigh
+from .linalg import checked_max, checked_norm, frobenius_norm, jacobi_eigh
 
 __all__ = [
     "CERT_RTOL",
@@ -102,8 +101,9 @@ class RefineDiagnostics:
 
 def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, int, float]:
     """(2^-e A, Xhat, e, ||2^-e A||), Xhat in float64 F order, the layout of every
-    returned basis, once the shapes and the one gate of the numerical core,
-    :func:`streampca.linalg.checked_norm`, pass Xhat, then A, which it scales."""
+    returned basis, once the shapes and the one refusal of the numerical core,
+    :func:`streampca.linalg.checked_max`, pass Xhat, then A, which
+    :func:`streampca.linalg.checked_norm` also scales; Xhat is not scaled."""
     a = np.asarray(a, dtype=np.float64)
     xhat = np.asfortranarray(xhat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -112,50 +112,52 @@ def _check_pair(a, xhat) -> tuple[np.ndarray, np.ndarray, int, float]:
         raise ValueError(
             f"eigenvector matrix shape {xhat.shape} does not match A shape {a.shape}"
         )
-    checked_norm(xhat, "Xhat", "refinement")
+    checked_max(xhat, "Xhat", "refinement")
     a, e, norm_a = checked_norm(a, "A", "refinement")
     return a, xhat, e, norm_a
 
 
-def _check_start(x: np.ndarray, name: str) -> None:
-    """Refuse, with ValueError and no numpy warning, a square float64 start ``x``
-    with ||I - X^T X||_F above MAX_DRIFT, or whose X^T X overflows (inf or NaN)."""
+def _residual(x: np.ndarray) -> np.ndarray:
+    """R = I - X^T X, formed as 0 - X^T X with 1 added to its diagonal in place,
+    which is bit for bit the same: 0 - g is exact (+0 for g = 0) and
+    (-g) + 1 = 1 - g."""
+    r = np.subtract(0.0, np.dot(x.T, x))
+    # r is a fresh C-contiguous array, so this strided slice of its ravel()
+    # view is a writable view of its diagonal.
+    r.ravel()[:: len(x) + 1] += 1.0
+    return r
+
+
+def _check_start(x: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """(R, ||R||) of a square float64 start ``x``; or a ValueError, with no numpy
+    warning, when ||R|| exceeds MAX_DRIFT or X^T X overflows (inf or NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = frobenius_norm(np.eye(len(x)) - np.dot(x.T, x))
+        r = _residual(x)
+        drift = frobenius_norm(r)
     if not drift <= MAX_DRIFT:
         raise ValueError(f"{name} is not near-orthonormal (||I - X^T X||_F = {drift:.3e}"
                          f" > {MAX_DRIFT:g})")
+    return r, drift
 
 
-def _rayleigh(a: np.ndarray, xhat: np.ndarray):
-    """Unchecked core of :func:`estimate_eigenvalues`: (lambda, R, S - D) for
-    float64 arrays of matching square shape.
-
-    R is 0 - Xhat^T Xhat with 1 added to its diagonal in place, bit for bit
-    I - Xhat^T Xhat: 0 - g is exact (+0 for g = 0) and (-g) + 1 = 1 - g.  S - D
-    is S with lambda subtracted from its diagonal in place; S's own diagonal
-    is not needed once lambda is formed.  The computed Xhat^T (A Xhat) is
-    symmetric only to rounding, and the wide-pair formula would divide that
-    asymmetry by gaps near its size, so S is symmetrized first.
-    """
-    p = xhat.shape[0]
-    r = np.subtract(0.0, np.dot(xhat.T, xhat))
-    # r and S are fresh C-contiguous arrays, so these strided slices of their
-    # ravel() views are writable views of their diagonals.
-    r_diag = r.ravel()[:: p + 1]
-    r_diag += 1.0
+def _rayleigh(a: np.ndarray, xhat: np.ndarray, r: np.ndarray):
+    """Unchecked core of :func:`estimate_eigenvalues`: (lambda, S - D) for float64
+    arrays of matching square shape and Xhat's R from :func:`_residual`.  S - D is
+    S with lambda subtracted from its diagonal in place.  The computed
+    Xhat^T (A Xhat) is symmetric only to rounding, and the wide-pair formula would
+    divide that asymmetry by gaps near its size, so S is symmetrized first."""
     s = np.dot(xhat.T, np.dot(a, xhat))
     s = (s + s.T) * 0.5
-    denom = 1.0 - r_diag
+    denom = 1.0 - r.diagonal()
     if abs(denom).min() < 1e-14:
         raise ValueError(
             "degenerate approximate eigenvector: column "
             f"{int(np.argmax(abs(denom) < 1e-14))} has near-zero norm"
         )
-    s_diag = s.ravel()[:: p + 1]
+    s_diag = s.ravel()[:: len(s) + 1]  # a view: s is fresh and C-contiguous
     lam = s_diag / denom
     s_diag -= lam
-    return lam, r, s
+    return lam, s
 
 
 def estimate_eigenvalues(a, xhat) -> np.ndarray:
@@ -166,18 +168,17 @@ def estimate_eigenvalues(a, xhat) -> np.ndarray:
     i.e. a column of Xhat has near-zero norm and the quotient is meaningless.
     """
     a, xhat, e, _ = _check_pair(a, xhat)
-    return np.ldexp(_rayleigh(a, xhat)[0], e)
+    return np.ldexp(_rayleigh(a, xhat, _residual(xhat))[0], e)
 
 
-def _step(a: np.ndarray, xhat: np.ndarray, norm_a: float) -> np.ndarray:
-    """One unchecked refinement step, Xhat + Xhat @ E, with ``norm_a`` = ||A||
-    taken once by the caller."""
-    lam, r, s_minus_d = _rayleigh(a, xhat)
-    delta = 2.0 * (frobenius_norm(s_minus_d) + norm_a * frobenius_norm(r))
+def _step(a: np.ndarray, xhat: np.ndarray, r: np.ndarray, norm_a: float,
+          norm_r: float) -> np.ndarray:
+    """One unchecked refinement step, Xhat + Xhat @ E, from Xhat's R and the
+    norms ``norm_a`` = ||A|| and ``norm_r`` = ||R|| that the caller took."""
+    lam, s_minus_d = _rayleigh(a, xhat, r)
+    delta = 2.0 * (frobenius_norm(s_minus_d) + norm_a * norm_r)
     if not math.isfinite(delta):
-        raise ArithmeticError(
-            f"non-finite refinement threshold delta={delta}; input blew up"
-        )
+        raise ArithmeticError(f"non-finite refinement threshold delta={delta}; input blew up")
     gap = lam - lam[:, None]
     wide = abs(gap) > delta
     # Dividing only where the gap is wide keeps gap == 0 out of the division;
@@ -195,7 +196,8 @@ def refine_step(a, xhat) -> np.ndarray:
     has a non-finite entry, and OverflowError when ||A|| overflows float64.
     """
     a, xhat, _, norm_a = _check_pair(a, xhat)
-    return _step(a, xhat, norm_a)
+    r = _residual(xhat)
+    return _step(a, xhat, r, norm_a, frobenius_norm(r))
 
 
 def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
@@ -213,41 +215,35 @@ def refine_to_convergence(a, xhat) -> tuple[np.ndarray, RefineDiagnostics]:
     Once per call, a failed certificate rotates the iterate by the Jacobi
     eigenbasis of S (``diagnostics.fallback``); a second pass of at most
     MAX_ITER steps follows, and a second failure raises RecoveryError.
-    Before the first step, raises OverflowError when ||A|| overflows float64,
-    and ValueError when A or Xhat has a non-finite entry or when
-    ||I - Xhat^T Xhat||_F > MAX_DRIFT: the iteration converges only from a
-    start near an orthonormal basis.
+    Before the first step, raises OverflowError when ||A|| or ||Xhat||
+    overflows float64, and ValueError when A or Xhat has a non-finite entry
+    or when ||I - Xhat^T Xhat||_F > MAX_DRIFT: the iteration converges only
+    from a start near an orthonormal basis.
     """
-    a, xhat, e, norm_a = _check_pair(a, xhat)
-    _check_start(xhat, "Xhat")
-    x = xhat
+    a, x, e, norm_a = _check_pair(a, xhat)
+    r, norm_r = _check_start(x, "Xhat")
     steps: list[float] = []
     first, fallback = 0, False  # first: index of the current pass's first step
     while True:
-        new_x = _step(a, x, norm_a)
-        eps = frobenius_norm(new_x - x)
-        steps.append(eps)
+        new_x = _step(a, x, r, norm_a, norm_r)
+        steps.append(frobenius_norm(new_x - x))
         truncated = len(steps) - first == MAX_ITER
-        x = new_x
-        if not (truncated or eps < TOL):
-            continue
-        lam, _, s_minus_d = _rayleigh(a, x)
-        off = frobenius_norm(s_minus_d)
-        if off <= CERT_RTOL * norm_a:
-            break
-        if fallback:
-            raise RecoveryError(f"uncertified stop{' at the step cap' if truncated else ''}: "
-                                f"||S - D|| = {math.ldexp(off, e):.3e} > {CERT_RTOL:.0e} x ||A||, "
-                                "after a Jacobi rotation of S")
-        fallback, first = True, len(steps)
-        # W's columns are positive at their largest entries: X W keeps signs
-        x = np.dot(x, jacobi_eigh(np.dot(x.T, np.dot(a, x))).vectors)
+        x, r = new_x, _residual(new_x)
+        if truncated or steps[-1] < TOL:
+            lam, s_minus_d = _rayleigh(a, x, r)
+            off = frobenius_norm(s_minus_d)
+            if off <= CERT_RTOL * norm_a:
+                break
+            if fallback:
+                raise RecoveryError(f"uncertified stop{' at the step cap' if truncated else ''}: "
+                                    f"||S - D|| = {math.ldexp(off, e):.3e} > {CERT_RTOL:.0e} x "
+                                    "||A||, after a Jacobi rotation of S")
+            fallback, first = True, len(steps)
+            # W's columns are positive at their largest entries: X W keeps signs
+            x = np.dot(x, jacobi_eigh(np.dot(x.T, np.dot(a, x))).vectors)
+            r = _residual(x)
+        norm_r = frobenius_norm(r)
     order = (-lam).argsort(kind="stable")
-    diagnostics = RefineDiagnostics(
-        iterations=len(steps),
-        step_norm_history=tuple(steps),
-        truncated=truncated,
-        fallback=fallback,
-        eigenvalues=np.ldexp(lam[order], e),
-    )
-    return x[:, order], diagnostics
+    return x[:, order], RefineDiagnostics(
+        iterations=len(steps), step_norm_history=tuple(steps), truncated=truncated,
+        fallback=fallback, eigenvalues=np.ldexp(lam[order], e))

@@ -100,6 +100,24 @@ def test_chunk_bounds_rejects_bad_timestamp():
         chunk_bounds(table, "by=year")
 
 
+def test_chunk_bounds_refuses_a_day_out_of_time_order(tmp_path, capsys):
+    # 2021-01-04 after 2021-01-05 used to be fitted as a second chunk of that day:
+    # chunk_bounds [[0, 4], [4, 8], [8, 12]], with exit 0
+    ts = [f"2021-01-0{day}T09:3{i}:00" for day in (4, 5, 4) for i in range(4)]
+    table = ObservationTable(["a"], np.zeros((12, 1)), timestamps=ts)
+    refusal = ("line 10: timestamp '2021-01-04T09:30:00' sorts before the previous chunk's "
+               "'2021-01-05'; by=day needs rows in time order")
+    with pytest.raises(ValueError) as excinfo:
+        chunk_bounds(table, "by=day")
+    assert str(excinfo.value) == refusal
+    assert chunk_bounds(table, "by=month") == [(0, 12)]
+    inp = write_data(tmp_path, stationary_gaussian(12, 2, seed=1), timestamps=ts)
+    rc = main(["ipca", str(inp), "--chunk-spec", "by=day", "--output", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["in.csv"]
+
+
 def test_chunk_bounds_names_the_first_line_of_a_repeated_bad_date():
     ts = ["2021-01-04T09:30:00", "2021-01-04T09:31:00", "2021-01-05T09:30:00",
           "2021-02-30T09:30:00", "2021-02-30T09:31:00", "2021-01-06T09:30:00",
@@ -370,18 +388,18 @@ def test_ipca_unparseable_row_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_ipca_divergence_names_chunk_and_fallback_is_reported(tmp_path, capsys, monkeypatch):
+def test_ipca_recovery_error_names_chunk_and_fallback_is_reported(tmp_path, capsys, monkeypatch):
     inp = write_data(tmp_path, stationary_gaussian(300, 3, seed=9))
     out = tmp_path / "z.csv"
 
-    def always_diverge(*args, **kwargs):
-        raise RecoveryError("synthetic divergence")
+    def always_fail(*args, **kwargs):
+        raise RecoveryError("synthetic recovery failure")
 
     with monkeypatch.context() as patch:
-        patch.setattr("streampca.ipca.refine_to_convergence", always_diverge)
+        patch.setattr("streampca.ipca.refine_to_convergence", always_fail)
         rc = main(["ipca", str(inp), "--chunk-spec", "chunk=100", "--output", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == "error: chunk 1 (rows 101-200): synthetic divergence\n"
+    assert capsys.readouterr().err == "error: chunk 1 (rows 101-200): synthetic recovery failure\n"
 
     def from_identity(a, xhat):
         # the identity: a false fixed point of this covariance
@@ -480,6 +498,22 @@ def test_overflowing_moments_are_named(tmp_path, capsys, monkeypatch, argv, wher
         f"error: {where} overflows float64 (largest entry 1.000e+160); rescale the data\n"
     )
     assert sorted(f.name for f in tmp_path.iterdir()) == ["in.csv"]
+
+
+def test_ipca_and_seed_name_data_whose_squares_all_underflow(tmp_path, capsys):
+    # 400 x 3, spectrum (9, 1, 0.09), times 1e-170: ipca used to exit 0 with
+    # eigenvalues [0, 0, 0] in both chunks
+    x = 1e-170 * np.random.default_rng(0).standard_normal((400, 3)) * [3.0, 1.0, 0.3]
+    inp = write_data(tmp_path, x)
+    rc = main(["ipca", str(inp), "--chunk-spec", "chunk=200", "--output", str(tmp_path / "z.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: chunk 0 (rows 1-200): sample covariance of the 200 x 3 input "
+                          "underflows float64 (largest centred entry ")
+    assert err.endswith("); rescale the data\n") and err.count("\n") == 1
+    with pytest.raises(FloatingPointError, match=r"^seed rows 1-400: sample covariance of the "
+                       r"400 x 3 input underflows float64 .*; rescale the data$"):
+        seed_initial_basis(x)
 
 
 @pytest.mark.parametrize(

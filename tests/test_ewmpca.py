@@ -250,7 +250,7 @@ def test_orthonormality_drift_stays_tiny_after_warmup():
     assert worst <= 1e-5
 
 
-def test_divergence_error_carries_observation_index(monkeypatch):
+def test_recovery_error_carries_observation_index(monkeypatch):
     import streampca.ewmpca as mod
 
     def explode(*args, **kwargs):

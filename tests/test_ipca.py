@@ -224,6 +224,22 @@ def test_wild_basis_is_refused():
                zip((model.means_, model.components_, model.explained_variance_), before))
 
 
+def test_chunk_whose_squares_all_underflow_is_refused():
+    # 400 x 3, spectrum (9, 1, 0.09), times 1e-170: every square is subnormal or
+    # zero, and the fit used to return components far from the unit-scale ones
+    x = np.random.default_rng(0).standard_normal((400, 3)) * [3.0, 1.0, 0.3]
+    model = IteratedPCA().fit(x[:200])
+    before = (model.means_, model.components_, model.explained_variance_)
+    for chunk in (1e-170 * x[:200], 1e-170 * x[200:]):
+        with pytest.raises(FloatingPointError, match="underflows float64"):
+            IteratedPCA().fit(chunk)
+        with pytest.raises(FloatingPointError, match="underflows float64"):
+            model.fit(chunk)
+    assert model.fit_count_ == 1
+    assert all(new is old for new, old in
+               zip((model.means_, model.components_, model.explained_variance_), before))
+
+
 def test_stale_basis_recovers_by_one_rotation():
     model, x = _stale_fitted_model(orthonormal=True)
     model.fit(x)

@@ -305,6 +305,29 @@ def test_sample_covariance_names_an_overflowing_moment():
             sample_covariance([[1.0, 2.0], [1e160, 3.0], [5.0, 6.0]])
 
 
+def test_sample_covariance_names_data_whose_squares_all_underflow():
+    # 400 x 3, spectrum (9, 1, 0.09): times 1e-170 every square is subnormal or
+    # zero, and the covariance used to come back as zeros (times 1e-160, 0.14 %
+    # off), with no error
+    x = np.random.default_rng(0).standard_normal((400, 3)) * [3.0, 1.0, 0.3]
+    for c in (1e-170, 1e-160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"^sample covariance of the 400 x 3 "
+                               r"input underflows float64 \(largest centred entry .*e-1[56]\d\); "
+                               r"rescale the data$"):
+                sample_covariance(c * x)
+    # times 2^-400 the squares are normal: the covariance is 2^-800 times the unit one
+    _, unit = sample_covariance(x)
+    assert np.array_equal(sample_covariance(2.0**-400 * x)[1], 2.0**-800 * unit)
+
+
+def test_sample_covariance_accepts_constant_columns():
+    # centred entries that are exactly 0 are not an underflow
+    means, q = sample_covariance(np.column_stack([np.full(5, 2.0), np.full(5, -7.0)]))
+    assert np.array_equal(means, [2.0, -7.0]) and np.array_equal(q, np.zeros((2, 2)))
+
+
 def test_sample_covariance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2 rows"):
         sample_covariance([[1.0, 2.0]])

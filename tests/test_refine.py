@@ -379,9 +379,9 @@ def test_norm_of_a_is_taken_once_per_call(monkeypatch):
             out, diag = refine_to_convergence(a, x0)
         assert sum(seen) == 1
         assert not diag.fallback
-        # the gate's two and the start's ||I - Xhat^T Xhat||; per step:
-        # ||S - D||, ||R|| and the step norm; then the certificate's ||S - D||
-        assert len(seen) == 4 + 3 * diag.iterations
+        # ||A||; per step: ||S - D||, ||R|| (the start gate's, for the first)
+        # and the step norm; then the certificate's ||S - D||
+        assert len(seen) == 2 + 3 * diag.iterations
         assert np.array_equal(out, expected)
 
 
@@ -438,6 +438,33 @@ def test_every_kernel_entry_names_an_overflowing_norm(kernel):
         with pytest.raises(OverflowError, match=r"^refinement: the Frobenius norm of the 5 x 5 "
                            r"input overflows float64 \(largest entry .*\); rescale the data$"):
             kernel(1e155 * a, np.eye(5))
+
+
+@pytest.mark.parametrize("kernel", [estimate_eigenvalues, refine_step, refine_to_convergence])
+def test_every_kernel_entry_names_an_overflowing_basis(kernel):
+    a, _ = well_separated_symmetric(5, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # ||Xhat||_F = 2^511 sqrt(5) >= 2^512
+        for big in (1e155, 2.0**511):
+            with pytest.raises(OverflowError, match=r"^refinement: the Frobenius norm of the "
+                               r"5 x 5 input overflows float64 \(largest entry .*\); "
+                               r"rescale the data$"):
+                kernel(a, big * np.eye(5))
+        # ||Xhat||_F = 2^511 is finite squared: the start gate refuses it
+        with pytest.raises(ValueError, match="^Xhat is not near-orthonormal"):
+            refine_to_convergence(a[:4, :4], 2.0**510 * np.eye(4))
+
+
+def test_start_gate_reads_r_before_the_degenerate_column_check():
+    a, _ = well_separated_symmetric(4, seed=6)
+    x = np.eye(4)
+    x[:, 1] = 0.0  # ||I - X^T X||_F = 1: within the bound, then degenerate
+    with pytest.raises(ValueError, match="^degenerate approximate eigenvector: column 1 "):
+        refine_to_convergence(a, x)
+    x[0, 0] = 1.5  # above the bound, with the same zero column
+    with pytest.raises(ValueError, match="^Xhat is not near-orthonormal"):
+        refine_to_convergence(a, x)
 
 
 def test_ewm_add_names_the_overflowing_observation():
@@ -507,9 +534,9 @@ def spy_on_steps(monkeypatch):
     seen = []
     step = refine._step
 
-    def spying(a, x, norm_a):
+    def spying(a, x, *rest):
         seen.append(x.copy())
-        return step(a, x, norm_a)
+        return step(a, x, *rest)
 
     monkeypatch.setattr(refine, "_step", spying)
     return seen

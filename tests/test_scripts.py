@@ -68,7 +68,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 52
+    assert len(cases) == 54
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists()
@@ -87,6 +87,11 @@ def test_cli_snapshot_captures_every_command(tmp_path):
         err = (out / f"error-{case}-overflow-term.stderr").read_text()
         assert err.startswith("error: log-likelihood overflows float64 at observation t=60 "
                               "(alpha=0.9)") and err.count("\n") == 1
+    assert (out / "error-ipca-out-of-order.stderr").read_text() == (
+        "error: line 452: timestamp '2021-01-04T09:30:00' sorts before the previous chunk's "
+        "'2021-01-07'; by=day needs rows in time order\n")
+    assert (out / "error-ipca-underflow.stderr").read_text().startswith(
+        "error: chunk 0 (rows 1-200): sample covariance of the 200 x 4 input underflows float64")
     fine = (out / "error-estimate-alpha-fine-grid.stderr").read_text()
     assert fine.startswith("error: grid spec '0.0001:0.9999:1e-15' asks for 1e+15 decays")
     # causal: the header and rows 1-100 do not depend on the reversed tail
