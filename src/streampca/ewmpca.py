@@ -34,11 +34,13 @@ def seed_initial_basis(x) -> np.ndarray:
     """Initial eigenbasis from the sample covariance of all rows of ``x``.
 
     Needs at least p + 1 rows so the covariance can have full rank.  Column
-    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  An
-    overflow, an underflow or an eigensolver failure names the rows read
-    (``seed rows 1-n: ``).
+    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  A
+    non-finite entry, an overflow, an underflow or an eigensolver failure
+    names the rows read (``seed rows 1-n: ``).
     """
-    arr = as_matrix(x, "x")
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"x must be 2-dimensional, got shape {arr.shape}")
     n, p = arr.shape
     if n < p + 1:
         raise ValueError(
@@ -47,7 +49,7 @@ def seed_initial_basis(x) -> np.ndarray:
     try:
         _, cov = sample_covariance(arr)
         return jacobi_eigh(cov).vectors
-    except (OverflowError, FloatingPointError, RuntimeError) as err:
+    except (ValueError, OverflowError, FloatingPointError, RuntimeError) as err:
         raise type(err)(f"seed rows 1-{n}: {err}") from err
 
 

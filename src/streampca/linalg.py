@@ -198,8 +198,10 @@ def jacobi_eigh(a) -> EigenBasis:
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
     """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized.
     Raises OverflowError, without a numpy warning, when finite data overflow it,
-    and FloatingPointError when the centred data are not all zero but all below
-    2^-511 in magnitude, so that every square is subnormal or zero."""
+    and FloatingPointError when the columns that are not constant have centred
+    entries all below 2^-511 in magnitude, so that their squares are subnormal
+    or zero.  A constant column has no say: its mean need not round back to
+    its value, and the residue is no measure of the data's scale."""
     mat = as_matrix(x, "X")
     n, p = mat.shape
     if n < 2:
@@ -211,7 +213,7 @@ def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
         q = (q + q.T) / 2.0
     if not np.isfinite(q).all():
         raise overflow_error(f"sample covariance of the {n} x {p} input", mat)
-    top = np.abs(centered).max()
+    top = np.abs(centered[:, mat.max(axis=0) != mat.min(axis=0)]).max(initial=0.0)
     if 0.0 < top < 2.0**-511:
         raise FloatingPointError(f"sample covariance of the {n} x {p} input underflows float64 "
                                  f"(largest centred entry {top:.3e}); rescale the data")

@@ -8,16 +8,18 @@ so any file written here can be re-ingested by any command without drift.
 The header, row labels and timestamps get the ``csv`` module's minimal
 quoting: a field holding a comma, a double quote or a line break is quoted.
 
-Two readers give one result.  A plain table, such as any table written here
-without a quoted field, has its numbers parsed by numpy's C reader
-(``np.loadtxt``), which rounds each one as ``float()`` does, and its
-timestamps cut off with ``str.partition``.  Plain means: ASCII text with no
-``"`` and none of the separators 0x1C-0x1F, only CRLF or only LF line ends,
-no blank line, and as many commas on every line as in the header.  Every
-other file, and every plain one with a cell that numpy cannot parse or reads
-as non-finite, goes to the ``csv`` row reader, which parses a row with one
-``map(float, ...)`` and words every error.  A write formats a row's numbers
-with one ``%`` on a whole-row format and writes each line as one string.
+One read path: a file is decoded once into lines, which two parsers turn into
+one result.  A plain table, such as any table written here without a quoted
+field, has its numbers parsed by numpy's C reader (``np.loadtxt``), which
+rounds each one as ``float()`` does, and its timestamps cut off with
+``str.partition``.  Plain means: ASCII text with no ``"`` and none of the
+separators 0x1C-0x1F, only CRLF or only LF line ends, no blank line, and as
+many commas on every line as in the header.  The lines of every other file,
+and of every plain one with a cell that numpy cannot parse or reads as
+non-finite, go to the ``csv`` row reader, which parses a row with one
+``map(float, ...)`` and words every error.  One write path: a row is one
+string, its label or timestamp, if any, quoted by the header's ``csv``
+writer, then its numbers, formatted by one ``%`` on a whole-row format.
 """
 
 from __future__ import annotations
@@ -89,9 +91,17 @@ def _cell_error(path, lineno: int, names: list[str], cells: list[str]) -> ValueE
 
 
 def read_table(path) -> ObservationTable:
-    """Parse a CSV observation table; errors name the offending line."""
-    table = _read_plain(path)
-    return _read_rows(path) if table is None else table
+    """Parse a CSV observation table; errors name the offending line, and a
+    file that is not UTF-8 text is named."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # line by line, as csv reads a file: one string of the whole file
+            # would raise the peak memory of a read
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+    table = _read_plain(lines)
+    return _read_rows(path, lines) if table is None else table
 
 
 # Characters that keep a file off numpy's reader: csv's quote, and the four
@@ -100,19 +110,11 @@ def read_table(path) -> ObservationTable:
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
-def _read_plain(path) -> ObservationTable | None:
-    """The table at ``path`` if it is a plain table that numpy's reader parses
-    into finite numbers, else None; a ValueError naming ``path`` if the file
-    is not UTF-8 text, which every read decodes here first.  The cells are
-    then split exactly as the ``csv`` reader splits them, and every number has
-    the bits ``float()`` gives it, so the result equals the row reader's."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            # line by line, as the row reader reads: one string of the whole
-            # file would raise the peak memory of a read
-            lines = fh.readlines()
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+def _read_plain(lines: list[str]) -> ObservationTable | None:
+    """The table of a file's ``lines`` if they are a plain table that numpy's
+    reader parses into finite numbers, else None.  The cells are then split
+    exactly as the ``csv`` reader splits them, and every number has the bits
+    ``float()`` gives it, so the result equals the row reader's."""
     if len(lines) < 2 or not all(map(str.isascii, lines)):
         return None
     if any(any(map(str.__contains__, lines, repeat(c))) for c in _NOT_PLAIN):
@@ -150,42 +152,41 @@ def _read_plain(path) -> ObservationTable | None:
     return ObservationTable(column_names=names, data=data, timestamps=timestamps)
 
 
-def _read_rows(path) -> ObservationTable:
-    """The ``csv`` row reader: parses any file ``read_table`` accepts and
-    words every error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: missing header row")
-        header = [h.strip() for h in header]
-        has_ts = header[0] == TIMESTAMP_COLUMN
-        names = header[1:] if has_ts else header
-        if not names:
-            raise ValueError(f"{path}: no numeric columns in header")
-        timestamps: list[str] | None = [] if has_ts else None
-        rows: list[list[float]] = []
-        row_lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            # the line the record ends on: a quoted field may hold line breaks
-            lineno = reader.line_num
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            cells = row[1:] if has_ts else row
-            try:
-                values = list(map(float, cells))
-            except ValueError:
-                values = None
-            if values is None or not all(map(math.isfinite, values)):
-                raise _cell_error(path, lineno, names, cells)
-            if has_ts:
-                timestamps.append(row[0])
-            rows.append(values)
-            row_lines.append(lineno)
+def _read_rows(path, lines: list[str]) -> ObservationTable:
+    """The ``csv`` row reader: parses the ``lines`` of any file ``read_table``
+    accepts and words every error, naming ``path``."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if not header:
+        raise ValueError(f"{path}: missing header row")
+    header = [h.strip() for h in header]
+    has_ts = header[0] == TIMESTAMP_COLUMN
+    names = header[1:] if has_ts else header
+    if not names:
+        raise ValueError(f"{path}: no numeric columns in header")
+    timestamps: list[str] | None = [] if has_ts else None
+    rows: list[list[float]] = []
+    row_lines: list[int] = []
+    for row in reader:
+        if not row:
+            continue
+        # the line the record ends on: a quoted field may hold line breaks
+        lineno = reader.line_num
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        cells = row[1:] if has_ts else row
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            raise _cell_error(path, lineno, names, cells)
+        if has_ts:
+            timestamps.append(row[0])
+        rows.append(values)
+        row_lines.append(lineno)
     data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
     table = ObservationTable(column_names=names, data=data, timestamps=timestamps)
     table._row_lines = row_lines
@@ -196,25 +197,24 @@ def _write_rows(path, header: list[str], matrix: np.ndarray, labels=None) -> Non
     """Write ``header``, then one line per row of ``matrix``, led by its entry
     of ``labels`` unless that is None.  Streams row by row."""
     numbers = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
+    # One csv writer quotes the header and the labels into ``quoted``, a label
+    # as a record (label, "") with its line end cut off.  The writer keeps the
+    # default "\r\n" line end because csv quotes a line break only when the
+    # line end holds it, and the empty second field keeps an empty label
+    # unquoted (csv writes a lone "" field).
+    quoted: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=quoted.append))
+    writer.writerow(header)
+    if labels is None:
+        prefixes = repeat("")
+    else:
+        writer.writerows((label, "") for label in labels)
+        prefixes = (label[:-2] for label in islice(quoted, 1, None))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write = fh.write
-        csv.writer(fh).writerow(header)
-        if labels is None:
-            for row in matrix:
-                write(numbers % tuple(row.tolist()))
-            return
-        # Labels get csv's own quoting from one writer call that appends each
-        # label, a delimiter and the line end to ``quoted``; the line end is
-        # cut off.  The writer keeps the default "\r\n" line end because csv
-        # quotes a line break only when the line end holds it, and the empty
-        # second field keeps an empty label unquoted (csv writes a lone ""
-        # field).
-        quoted: list[str] = []
-        csv.writer(SimpleNamespace(write=quoted.append)).writerows(
-            (label, "") for label in labels
-        )
-        for label, row in zip(quoted, matrix):
-            write(label[:-2] + numbers % tuple(row.tolist()))
+        write(quoted[0])
+        for prefix, row in zip(prefixes, matrix):
+            write(prefix + numbers % tuple(row.tolist()))
 
 
 def write_table(path, table: ObservationTable) -> None:
@@ -233,5 +233,4 @@ def write_sidecar(path, payload: dict) -> None:
     """JSON run-metadata sidecar; key order is fixed by the caller, so the
     output is byte-stable across identical runs."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")

@@ -73,6 +73,17 @@ def yield_curve_changes(n=1500, scale=1.0):
     return (factors @ loadings + noise) * scale
 
 
+def market_returns():
+    """1000 daily returns of 20 assets on three factors, drawn from
+    ``default_rng(0)`` in this order: market loadings 1 + 0.3 N(0, 1), two
+    more rows of loadings 0.5 N(0, 1), factors with standard deviations 1 %,
+    0.5 % and 0.3 %, then 0.2 % of idiosyncratic noise."""
+    rng = np.random.default_rng(0)
+    loadings = np.vstack([1.0 + 0.3 * rng.standard_normal(20), 0.5 * rng.standard_normal((2, 20))])
+    factors = rng.standard_normal((1000, 3)) * [0.01, 0.005, 0.003]
+    return factors @ loadings + 0.002 * rng.standard_normal((1000, 20))
+
+
 def record_refinements(monkeypatch, module):
     """Replace ``module.refine_to_convergence`` by a wrapper that appends
     (A, returned basis, diagnostics) of every call to the list returned."""

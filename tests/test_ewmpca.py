@@ -35,6 +35,13 @@ def test_seed_basis_needs_p_plus_one_rows():
         seed_initial_basis(np.zeros((3, 3)))
 
 
+def test_seed_basis_names_its_rows_for_a_non_finite_entry():
+    head = np.random.default_rng(4).standard_normal((20, 3))
+    head[7, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^seed rows 1-20: X contains non-finite entries$"):
+        seed_initial_basis(head)
+
+
 def test_seed_basis_passes_oracle_residual_checks():
     rng = np.random.default_rng(2)
     head = rng.standard_normal((100, 5))

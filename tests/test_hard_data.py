@@ -21,10 +21,12 @@ import pytest
 from streampca import ewmpca, ipca
 from streampca.ewmpca import EwmPCA, seed_initial_basis
 from streampca.ipca import IteratedPCA
+from streampca.refine import CERT_RTOL
 
 from conftest import (
     HARD_STREAMS,
     hard_streams,
+    market_returns,
     record_refinements,
     worst_relative_residual,
     yield_curve_changes,
@@ -74,6 +76,15 @@ def test_pure_online_ewmpca_certifies_every_row_from_the_identity(monkeypatch, n
     assert len(calls) == 599
     assert worst_relative_residual(calls) <= CERTIFIED
     assert worst_drift(calls) <= CERTIFIED
+
+
+def test_pure_online_ewmpca_certifies_every_row_of_the_market_model(monkeypatch):
+    # a factor stream on which nearly every row takes the Jacobi rotation today
+    calls = record_refinements(monkeypatch, ewmpca)
+    EwmPCA(0.97).add_all(market_returns())
+    assert len(calls) == 999
+    assert worst_relative_residual(calls) <= CERT_RTOL
+    assert worst_drift(calls) <= CERT_RTOL
 
 
 def test_yield_curve_in_decimal_units_certifies_every_row_and_chunk(monkeypatch):

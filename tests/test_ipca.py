@@ -240,6 +240,13 @@ def test_chunk_whose_squares_all_underflow_is_refused():
                zip((model.means_, model.components_, model.explained_variance_), before))
 
 
+def test_chunk_whose_varying_column_underflows_is_refused_beside_a_constant_one():
+    # [5.1 | 1e-170 N(0, 1)] used to fit, with eigenvalues [2.57e-28, 0]
+    x = np.column_stack([np.full(200, 5.1), 1e-170 * np.random.default_rng(0).standard_normal(200)])
+    with pytest.raises(FloatingPointError, match="underflows float64"):
+        IteratedPCA().fit(x)
+
+
 def test_stale_basis_recovers_by_one_rotation():
     model, x = _stale_fitted_model(orthonormal=True)
     model.fit(x)

@@ -351,3 +351,25 @@ def test_sample_covariance_psd_up_to_roundoff():
     _, q = sample_covariance(x)
     basis = jacobi_eigh(q)
     assert basis.values.min() >= -1e-12 * frobenius_norm(q)
+
+
+def test_sample_covariance_accepts_all_constant_tables_near_the_underflow():
+    # the mean of a constant column need not round back to its value; the
+    # residue's square underflows, which used to refuse most of these tables
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n, p = rng.choice([3, 7, 10]), rng.integers(1, 5)
+        x = np.tile(rng.uniform(1.0, 10.0, p) * 1e-200, (n, 1))
+        _, q = sample_covariance(x)
+        assert np.array_equal(q, np.zeros((p, p)))
+
+
+def test_sample_covariance_refusal_ignores_a_constant_columns_residue():
+    # 5.1 does not come back from its mean: the residue of 1.8e-15 used to hide
+    # the underflow of the other column, while 5.0 did not
+    noise = 1e-170 * np.random.default_rng(0).standard_normal(200)
+    for constant in (5.0, 5.1):
+        x = np.column_stack([np.full(200, constant), noise])
+        with pytest.raises(FloatingPointError, match=r"^sample covariance of the 200 x 2 input "
+                           r"underflows float64 \(largest centred entry .*e-170\)"):
+            sample_covariance(x)

@@ -16,6 +16,12 @@ from streampca.tableio import (
 )
 
 
+def file_lines(path):
+    """The lines ``read_table`` hands its parsers."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.readlines()
+
+
 def test_round_trip_is_lossless(tmp_path):
     rng = np.random.default_rng(5)
     data = rng.standard_normal((40, 3)) * np.array([1e-9, 1.0, 1e12])
@@ -115,8 +121,7 @@ def test_row_reader_keeps_each_rows_line(tmp_path):
     table = read_table(path)
     assert [table.line_of(i) for i in range(table.n_rows)] == [3, 5]
     # a plain table has row i on line i + 2
-    path.write_text("a\n1\n2\n")
-    assert tableio._read_plain(path).line_of(1) == 3
+    assert tableio._read_plain(["a\n", "1\n", "2\n"]).line_of(1) == 3
 
 
 def test_wrong_field_count_names_line(tmp_path):
@@ -187,7 +192,7 @@ def test_sidecar_is_deterministic(tmp_path):
 
 
 def test_plain_table_takes_numpys_reader(tmp_path, monkeypatch):
-    def no_row_reader(path):
+    def no_row_reader(path, lines):
         raise AssertionError("the row reader ran")
 
     data = np.array([[0.1, -2.5e-300], [1 / 3, 7.0]])
@@ -198,7 +203,7 @@ def test_plain_table_takes_numpys_reader(tmp_path, monkeypatch):
     for names, stamps in cases:
         path = tmp_path / "plain.csv"
         write_table(path, ObservationTable(names, data, timestamps=stamps))
-        reference = tableio._read_rows(path)
+        reference = tableio._read_rows(path, file_lines(path))
         monkeypatch.setattr(tableio, "_read_rows", no_row_reader)
         table = read_table(path)
         monkeypatch.undo()
@@ -213,6 +218,47 @@ def test_plain_table_takes_numpys_reader(tmp_path, monkeypatch):
     assert np.array_equal(table.data, [[1.5, 2.0], [-0.0, 3e-5]])
 
 
+# One table of each kind, as text, and what it reads as: (timestamps, data,
+# each row's line) or the error.
+READ_ONCE_TABLES = {
+    "plain": (
+        "timestamp,a,b\r\n2021-01-04,1.5,-2e-300\r\n2021-01-05,-0,0.1\r\n",
+        (["2021-01-04", "2021-01-05"], [[1.5, -2e-300], [-0.0, 0.1]], [2, 3]),
+    ),
+    "quoted stamps": (
+        'timestamp,a,b\r\n"2021-01-04, 09:30",1,2\r\n"2021-01-04, 09:31",3,4\r\n',
+        (["2021-01-04, 09:30", "2021-01-04, 09:31"], [[1.0, 2.0], [3.0, 4.0]], [2, 3]),
+    ),
+    "blank lines": ("a,b\n1,2\n\n3,4\n\n\n5,6\n", (None, [[1, 2], [3, 4], [5, 6]], [2, 4, 7])),
+    "bad cell": ("a,b\r\n1,2\r\n3,4x\r\n", "line 3: could not parse '4x' in column 'b' as a number"),
+}
+
+
+@pytest.mark.parametrize("kind", READ_ONCE_TABLES)
+def test_read_table_opens_the_file_once(tmp_path, monkeypatch, kind):
+    text, want = READ_ONCE_TABLES[kind]
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tableio, "open", counting_open, raising=False)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            read_table(path)
+        assert str(err.value) == f"{path}, {want}"
+    else:
+        table = read_table(path)
+        stamps, data, lines = want
+        assert table.timestamps == stamps
+        assert np.array_equal(table.data.view(np.uint64), np.array(data, dtype=float).view(np.uint64))
+        assert [table.line_of(i) for i in range(table.n_rows)] == lines
+    assert opened == [path]
+
+
 def read_outcome(read, path):
     try:
         table = read(path)
@@ -224,7 +270,7 @@ def read_outcome(read, path):
 def assert_same_outcome(path):
     """``read_table`` gives the row reader's table, bit for bit, or its error."""
     got = read_outcome(read_table, path)
-    want = read_outcome(tableio._read_rows, path)
+    want = read_outcome(lambda path: tableio._read_rows(path, file_lines(path)), path)
     assert len(got) == len(want)
     if len(want) == 2:
         assert got == want
@@ -268,7 +314,7 @@ ODD_FILES = [
 def test_both_readers_agree_on_odd_files(tmp_path, text):
     path = tmp_path / "odd.csv"
     path.write_text(text, newline="")
-    assert tableio._read_plain(path) is None
+    assert tableio._read_plain(file_lines(path)) is None
     assert_same_outcome(path)
 
 
