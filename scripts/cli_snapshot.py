@@ -4,9 +4,11 @@ Runs ``python -m streampca`` from the ``src/`` directory next to this script
 on seeded ``synth`` tables and on a few tables derived from them by plain
 text edits (timestamps, overflowing halves, a 1e160 entry, a tail in reverse
 order, a rank-one table, small noise ending in a 1e150 outlier, the Gaussian
-table times 2^-20, 2^-300 and 2^-600, stamped days out of time order).  Two derived tables are not plain, so
-that they take the ``csv`` row reader where the others take numpy's: one has
-quoted timestamps that hold a comma, one LF line ends and blank lines.
+table times 2^-20, 2^-300 and 2^-600, stamped days out of time order, the
+stamped table led by a UTF-8 byte-order mark, a timestamp of 140000
+characters).  Two derived tables are not plain, so that they take the ``csv``
+row reader where the others take numpy's: one has quoted timestamps that hold
+a comma, one LF line ends and blank lines.
 Every command runs in OUTDIR with relative paths, so the files it writes,
 and the stdout, stderr and exit code captured as ``<case>.stdout``,
 ``<case>.stderr`` and ``<case>.exit``, do not depend on where the checkout
@@ -48,6 +50,8 @@ TERM_FIT = ["--grid", "0.9:0.95:0.05", "--burn-in", "5"]
 COMMANDS = [
     ("ipca-chunk200", ["ipca", "gauss.csv", "--chunk-spec", "chunk=200"]),
     ("ipca-by-day", ["ipca", "stamped.csv", "--chunk-spec", "by=day"]),
+    # stamped.csv led by a byte-order mark: the component CSV is ipca-by-day's
+    ("ipca-bom-by-day", ["ipca", "stamped_bom.csv", "--chunk-spec", "by=day"]),
     ("ipca-regime", ["ipca", "regime.csv", "--chunk-spec", "chunk=401"]),
     ("ipca-chunk100", ["ipca", "regime.csv", "--chunk-spec", "chunk=100"]),
     # chunks 3 and 4 straddle the switch and take the kernel's Jacobi rotation
@@ -102,6 +106,8 @@ COMMANDS = [
     ("error-ipca-bad-date", ["ipca", "bad_date.csv", "--chunk-spec", "by=day"]),
     # the first day's rows moved after the last day's
     ("error-ipca-out-of-order", ["ipca", "unordered.csv", "--chunk-spec", "by=day"]),
+    # the timestamp on line 4 is over csv's field size limit
+    ("error-ipca-field-limit", ["ipca", "long_field.csv", "--chunk-spec", "by=day"]),
     # gauss.csv times 2^-600: every square of the centred data is subnormal
     ("error-ipca-underflow", ["ipca", "gauss_under.csv", "--chunk-spec", "chunk=200"]),
     ("error-compare-bad-alpha", ["compare", "gauss.csv", "--alpha", "nope"]),
@@ -167,6 +173,10 @@ def derive_inputs(outdir: Path) -> None:
     (outdir / "bad_date.csv").write_text("\r\n".join(bad_date) + "\r\n", newline="")
     unordered = [stamped[0], *stamped[151:], *stamped[1:151]]
     (outdir / "unordered.csv").write_text("\r\n".join(unordered) + "\r\n", newline="")
+    (outdir / "stamped_bom.csv").write_text("\ufeff" + "\r\n".join(stamped) + "\r\n",
+                                            newline="", encoding="utf-8")
+    long_field = [*stamped[:3], "x" * 140000 + "," + stamped[3].partition(",")[2], *stamped[4:]]
+    (outdir / "long_field.csv").write_text("\r\n".join(long_field) + "\r\n", newline="")
     # one half scaled by 1e78: finite entries, an overflowing ||S||_F
     half = len(rows) // 2
     scaled = [",".join(f"{float(v) * 1e78:.17g}" for v in row.split(",")) for row in rows]

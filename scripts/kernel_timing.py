@@ -1,6 +1,7 @@
 """Time the two eigensolvers, ``linalg.jacobi_eigh`` and
-``refine.refine_to_convergence``, and the decay grid search
-``ewmstats.estimate_alpha``, optionally against another checkout.
+``refine.refine_to_convergence``, the decay grid search
+``ewmstats.estimate_alpha`` and ``EwmPCA.add``, optionally against another
+checkout.
 
 The ``jacobi`` table has two seeded inputs per size p (``--sizes``):
 
@@ -29,14 +30,20 @@ The ``loglik`` table scores two decay grids at the default burn-in:
 - gaussian 300x9: 300 rows of ``synth.stationary_gaussian`` at ``--seed`` on
   the default 500-value grid, where each block of the scorer holds one row.
 
+The ``ewm`` table has one row, ``ewm-online``: each side seeds its own
+``EwmPCA(0.97)`` by its own ``seed_initial_basis`` of the stream's 100 head
+rows and adds those rows, as ``workloads.EwmOnline`` does, untimed; then the
+2800 timed rows are added one ``add`` call each.
+
 A repeat of a ``jacobi`` row times ``BATCH`` calls, a repeat of a ``refine``
-row one replay, and a repeat of a ``loglik`` row the number of calls in its
-``calls`` (``BATCH`` for the short alpha-grid call).  With ``--baseline DIR``
-the ``streampca`` package of that checkout is loaded too, under another name,
-and the two sides run interleaved, one call each in turn with the side that
-goes first alternating, so that both see the same load on the host; in a
-replay each side follows its own chain of bases.  Prints one JSON object with
-the three tables.  A ``jacobi`` row holds the milliseconds per call of each
+row one replay, a repeat of a ``loglik`` row the number of calls in its
+``calls`` (``BATCH`` for the short alpha-grid call), and a repeat of the
+``ewm`` row the 2800 ``add`` calls of a freshly warmed model.  With
+``--baseline DIR`` the ``streampca`` package of that checkout is loaded too,
+under another name, and the two sides run interleaved, one call each in turn
+with the side that goes first alternating, so that both see the same load on
+the host; in a replay each side follows its own chain of bases.  Prints one JSON object with
+the four tables.  A ``jacobi`` row holds the milliseconds per call of each
 side (the median over repeats, and the quartiles as ``_q1`` and ``_q3``), the
 ratio of the medians, and the residual ||A V - V diag(values)||_F / ||A||_F
 and the orthonormality ||V^T V - I||_F of this checkout's result.  A
@@ -46,7 +53,11 @@ and whether the baseline's bases, eigenvalues and iteration counts are
 bit-identical (``np.array_equal``) to this checkout's.  A ``loglik`` row holds
 the milliseconds per call of each side (median and quartiles), the ratio of
 the medians, and whether the baseline's argmax and likelihood curve are
-bit-identical to this checkout's.
+bit-identical to this checkout's.  The ``ewm`` row holds the microseconds per
+row of each side (median and quartiles), its refinement steps per row and
+Jacobi fallbacks over the timed rows, the ratio of the medians, and whether
+the baseline's component rows, bases, steps and fallbacks are bit-identical
+to this checkout's.
 
 Usage: python scripts/kernel_timing.py [--baseline DIR] [--sizes 9 12 32 100]
            [--repeats 9] [--seed 0]
@@ -184,6 +195,44 @@ def refine_row(sides: dict, name: str, covs, start, repeats: int) -> dict:
     return row
 
 
+def ewm_row(sides: dict, repeats: int) -> dict:
+    w = workloads
+    x = w.EwmOnline(0, None).x  # its stream does not depend on the seed
+    head, rows = x[: w.EWM_WARMUP_ROWS], x[w.EWM_WARMUP_ROWS :]
+    seconds = {side: [] for side in sides}
+    for _ in range(repeats):
+        models = {}
+        for package in sides.values():
+            model = package.EwmPCA(w.EWM_ALPHA, initial_basis=package.seed_initial_basis(head))
+            for row in head:
+                model.add(row)
+            models[package] = model
+        warm = {package: (m.iterations_total, m.fallback_count) for package, m in models.items()}
+        calls = [
+            lambda package, _, row=row: (models[package].add(row), models[package].basis)
+            for row in rows
+        ]
+        spent, out = interleave(sides, calls, None, 1)
+        for side in sides:
+            seconds[side] += spent[side]
+    row = {"input": w.EwmOnline.name, "rows": len(rows)}
+    costs = {}
+    for side, package in sides.items():
+        model = models[package]
+        costs[side] = (model.iterations_total - warm[package][0],
+                       model.fallback_count - warm[package][1])
+        row.update(quartiles(f"{side}_us_per_row", seconds[side], 1e6 / len(rows), 2))
+        row[f"{side}_steps_per_row"] = round(costs[side][0] / len(rows), 3)
+        row[f"{side}_fallbacks"] = costs[side][1]
+    if "baseline" in sides:
+        row["speedup"] = round(row["baseline_us_per_row"] / row["this_us_per_row"], 3)
+        row["bit_identical"] = costs["this"] == costs["baseline"] and all(
+            np.array_equal(z, y) and np.array_equal(v, u)
+            for (z, v), (y, u) in zip(out["this"], out["baseline"])
+        )
+    return row
+
+
 def loglik_inputs(seed: int) -> dict:
     """name: (table, grid, calls per repeat) of the two likelihood inputs."""
     w = workloads
@@ -241,7 +290,7 @@ def main(argv=None) -> int:
         for name, inputs in loglik_inputs(args.seed).items()
     ]
     result = {"repeats": args.repeats, "seed": args.seed, "jacobi": jacobi, "refine": refine,
-              "loglik": loglik}
+              "loglik": loglik, "ewm": [ewm_row(sides, args.repeats)]}
     print(json.dumps(result, indent=1))
     return 0
 

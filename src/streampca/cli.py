@@ -183,7 +183,7 @@ def cmd_ipca(args) -> None:
     for k, (lo, hi) in enumerate(bounds):
         chunk = table.data[lo:hi]
         try:
-            model.fit(chunk)
+            pieces.append(model.fit_transform(chunk))
         except (ValueError, OverflowError, FloatingPointError, RecoveryError) as err:
             raise type(err)(f"chunk {k} (rows {lo + 1}-{hi}): {err}") from err
         diag = model.last_fit_diagnostics_
@@ -198,7 +198,6 @@ def cmd_ipca(args) -> None:
         previous = model.components_
         eigenvalues.append(model.explained_variance_.tolist())
         iterations.append(None if diag is None else diag.iterations)
-        pieces.append(model.transform(chunk))
     series = np.vstack(pieces)
     write_table(args.output, ObservationTable(_pc_names(series.shape[1]), series, table.timestamps))
     _write_sidecar(

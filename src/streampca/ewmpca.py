@@ -24,20 +24,18 @@ from __future__ import annotations
 import numpy as np
 
 from .ewmstats import EwmState, ewm_init, ewm_update, _check_alpha
-from .linalg import as_matrix, jacobi_eigh, sample_covariance
+from .ipca import IteratedPCA
+from .linalg import as_matrix
 from .refine import RecoveryError, _check_start, refine_to_convergence
 
 __all__ = ["EwmPCA", "seed_initial_basis"]
 
 
 def seed_initial_basis(x) -> np.ndarray:
-    """Initial eigenbasis from the sample covariance of all rows of ``x``.
-
-    Needs at least p + 1 rows so the covariance can have full rank.  Column
-    signs are ``jacobi_eigh``'s, pinned the same way as a first PCA fit.  A
-    non-finite entry, an overflow, an underflow or an eigensolver failure
-    names the rows read (``seed rows 1-n: ``).
-    """
+    """Initial eigenbasis from all rows of ``x``: the components of a first
+    :class:`streampca.ipca.IteratedPCA` fit.  Needs at least p + 1 rows so the
+    covariance can have full rank.  A non-finite entry, an overflow, an
+    underflow or an eigensolver failure names the rows read (``seed rows 1-n: ``)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"x must be 2-dimensional, got shape {arr.shape}")
@@ -47,8 +45,7 @@ def seed_initial_basis(x) -> np.ndarray:
             f"need at least p + 1 = {p + 1} rows to seed an initial basis, got {n}"
         )
     try:
-        _, cov = sample_covariance(arr)
-        return jacobi_eigh(cov).vectors
+        return IteratedPCA().fit(arr).components_
     except (ValueError, OverflowError, FloatingPointError, RuntimeError) as err:
         raise type(err)(f"seed rows 1-{n}: {err}") from err
 

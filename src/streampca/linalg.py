@@ -196,12 +196,11 @@ def jacobi_eigh(a) -> EigenBasis:
 
 
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized.
-    Raises OverflowError, without a numpy warning, when finite data overflow it,
-    and FloatingPointError when the columns that are not constant have centred
-    entries all below 2^-511 in magnitude, so that their squares are subnormal
-    or zero.  A constant column has no say: its mean need not round back to
-    its value, and the residue is no measure of the data's scale."""
+    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized,
+    with a constant column's centred entries set to 0 (its mean need not round
+    back to its value).  Raises OverflowError, without a numpy warning, when finite
+    data overflow it, and FloatingPointError when the centred entries are not all
+    zero but all below 2^-511, so that their squares are subnormal or zero."""
     mat = as_matrix(x, "X")
     n, p = mat.shape
     if n < 2:
@@ -209,11 +208,12 @@ def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         means = mat.mean(axis=0)
         centered = mat - means
+        centered[:, mat.max(axis=0) == mat.min(axis=0)] = 0.0
         q = centered.T @ centered / (n - 1)
         q = (q + q.T) / 2.0
     if not np.isfinite(q).all():
         raise overflow_error(f"sample covariance of the {n} x {p} input", mat)
-    top = np.abs(centered[:, mat.max(axis=0) != mat.min(axis=0)]).max(initial=0.0)
+    top = np.abs(centered).max()
     if 0.0 < top < 2.0**-511:
         raise FloatingPointError(f"sample covariance of the {n} x {p} input underflows float64 "
                                  f"(largest centred entry {top:.3e}); rescale the data")

@@ -7,19 +7,21 @@ ISO-8601 text and is kept out of the numeric matrix.  Numbers are written as
 so any file written here can be re-ingested by any command without drift.
 The header, row labels and timestamps get the ``csv`` module's minimal
 quoting: a field holding a comma, a double quote or a line break is quoted.
+A leading byte-order mark is skipped.
 
-One read path: a file is decoded once into lines, which two parsers turn into
-one result.  A plain table, such as any table written here without a quoted
-field, has its numbers parsed by numpy's C reader (``np.loadtxt``), which
-rounds each one as ``float()`` does, and its timestamps cut off with
-``str.partition``.  Plain means: ASCII text with no ``"`` and none of the
-separators 0x1C-0x1F, only CRLF or only LF line ends, no blank line, and as
-many commas on every line as in the header.  The lines of every other file,
-and of every plain one with a cell that numpy cannot parse or reads as
-non-finite, go to the ``csv`` row reader, which parses a row with one
-``map(float, ...)`` and words every error.  One write path: a row is one
-string, its label or timestamp, if any, quoted by the header's ``csv``
-writer, then its numbers, formatted by one ``%`` on a whole-row format.
+One read path: a file is decoded once into lines, ``csv`` parses the header,
+and one of two parsers turns the records after it into one result.  A plain
+table, such as any table written here without a quoted field, has its numbers
+parsed by numpy's C reader (``np.loadtxt``), which rounds each one as
+``float()`` does, and its timestamps cut off with ``str.partition``.  Plain
+means: ASCII text with no ``"`` and none of the separators 0x1C-0x1F, only
+CRLF or only LF line ends, no blank line, and as many commas on every line as
+in the header.  The lines of every other file, and of every plain one with a
+cell that numpy cannot parse or reads as non-finite, go to the ``csv`` row
+reader, which parses a row with one ``map(float, ...)`` and words every error.
+One write path: a row is one string, its label or timestamp, if any, quoted
+by the header's ``csv`` writer, then its numbers, formatted by one ``%`` on a
+whole-row format.
 """
 
 from __future__ import annotations
@@ -94,14 +96,26 @@ def read_table(path) -> ObservationTable:
     """Parse a CSV observation table; errors name the offending line, and a
     file that is not UTF-8 text is named."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             # line by line, as csv reads a file: one string of the whole file
             # would raise the peak memory of a read
             lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
-    table = _read_plain(lines)
-    return _read_rows(path, lines) if table is None else table
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: missing header row")
+        header = [h.strip() for h in header]
+        has_ts = header[0] == TIMESTAMP_COLUMN
+        names = header[1:] if has_ts else header
+        if not names:
+            raise ValueError(f"{path}: no numeric columns in header")
+        table = _read_plain(lines, names, has_ts)
+        return _read_rows(path, reader, names, has_ts) if table is None else table
+    except csv.Error as err:
+        raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
 
 
 # Characters that keep a file off numpy's reader: csv's quote, and the four
@@ -110,11 +124,11 @@ def read_table(path) -> ObservationTable:
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
-def _read_plain(lines: list[str]) -> ObservationTable | None:
-    """The table of a file's ``lines`` if they are a plain table that numpy's
-    reader parses into finite numbers, else None.  The cells are then split
-    exactly as the ``csv`` reader splits them, and every number has the bits
-    ``float()`` gives it, so the result equals the row reader's."""
+def _read_plain(lines: list[str], names: list[str], has_ts: bool) -> ObservationTable | None:
+    """The table of a file's ``lines``, with its parsed header, if they are a
+    plain table that numpy's reader parses into finite numbers, else None.  The
+    cells are then split exactly as the ``csv`` reader splits them, and every
+    number has the bits ``float()`` gives it, so the result equals the row reader's."""
     if len(lines) < 2 or not all(map(str.isascii, lines)):
         return None
     if any(any(map(str.__contains__, lines, repeat(c))) for c in _NOT_PLAIN):
@@ -130,10 +144,7 @@ def _read_plain(lines: list[str]) -> ObservationTable | None:
     # numpy skips a blank line, as the row reader does, but warns when no line is left
     if "\n" in lines or "\r\n" in lines or max(map(len, lines)) > csv.field_size_limit():
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    has_ts = header[0] == TIMESTAMP_COLUMN
-    names = header[1:] if has_ts else header
-    if not names or set(map(str.count, lines, repeat(","))) != {len(header) - 1}:
+    if set(map(str.count, lines, repeat(","))) != {len(names) + has_ts - 1}:
         return None
     try:
         data = np.loadtxt(
@@ -142,7 +153,7 @@ def _read_plain(lines: list[str]) -> ObservationTable | None:
             comments=None,
             skiprows=1,
             ndmin=2,
-            usecols=range(1, len(header)) if has_ts else None,
+            usecols=range(1, len(names) + 1) if has_ts else None,
         )
     except ValueError:
         return None
@@ -152,18 +163,10 @@ def _read_plain(lines: list[str]) -> ObservationTable | None:
     return ObservationTable(column_names=names, data=data, timestamps=timestamps)
 
 
-def _read_rows(path, lines: list[str]) -> ObservationTable:
-    """The ``csv`` row reader: parses the ``lines`` of any file ``read_table``
-    accepts and words every error, naming ``path``."""
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if not header:
-        raise ValueError(f"{path}: missing header row")
-    header = [h.strip() for h in header]
-    has_ts = header[0] == TIMESTAMP_COLUMN
-    names = header[1:] if has_ts else header
-    if not names:
-        raise ValueError(f"{path}: no numeric columns in header")
+def _read_rows(path, reader, names: list[str], has_ts: bool) -> ObservationTable:
+    """The ``csv`` row reader: parses the records after the header of any file
+    ``read_table`` accepts and words every error, naming ``path``."""
+    width = len(names) + has_ts
     timestamps: list[str] | None = [] if has_ts else None
     rows: list[list[float]] = []
     row_lines: list[int] = []
@@ -172,10 +175,8 @@ def _read_rows(path, lines: list[str]) -> ObservationTable:
             continue
         # the line the record ends on: a quoted field may hold line breaks
         lineno = reader.line_num
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+        if len(row) != width:
+            raise ValueError(f"{path}, line {lineno}: expected {width} fields, got {len(row)}")
         cells = row[1:] if has_ts else row
         try:
             values = list(map(float, cells))

@@ -358,25 +358,54 @@ def test_non_utf8_input_is_one_named_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
-@pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("ipca", ["--chunk-spec", "chunk=10"]),
-        ("ewmpca", ["--alpha", "0.97"]),
-        ("estimate-alpha", []),
-        ("compare", ["--alpha", "0.97"]),
-    ],
-)
+# every command that reads a table, with the flags it needs
+TABLE_COMMANDS = [
+    ("ipca", ["--chunk-spec", "chunk=10"]),
+    ("ewmpca", ["--alpha", "0.97"]),
+    ("estimate-alpha", []),
+    ("compare", ["--alpha", "0.97"]),
+]
+
+
+def output_target(tmp_path, command):
+    return ["--output-prefix", str(tmp_path / "c_")] if command == "compare" else [
+        "--output", str(tmp_path / "z.csv")]
+
+
+@pytest.mark.parametrize("command, flags", TABLE_COMMANDS)
 def test_header_only_table_is_refused_by_every_command(tmp_path, capsys, command, flags):
     # ewmpca used to exit 0 with an empty series, compare and estimate-alpha to
     # say "X must have at least one row and one column", naming no file
     inp = tmp_path / "empty.csv"
     inp.write_text("x1,x2\n")
-    target = ["--output-prefix", str(tmp_path / "c_")] if command == "compare" else [
-        "--output", str(tmp_path / "z.csv")]
-    assert main([command, str(inp), *flags, *target]) == 1
+    assert main([command, str(inp), *flags, *output_target(tmp_path, command)]) == 1
     assert capsys.readouterr().err == f"error: {inp}: no observation rows\n"
     assert list(tmp_path.iterdir()) == [inp]
+
+
+@pytest.mark.parametrize("command, flags", TABLE_COMMANDS)
+def test_field_over_csvs_size_limit_is_one_named_line(tmp_path, capsys, command, flags):
+    # every command used to end with an uncaught _csv.Error and its traceback
+    stamps = [f"2021-01-{4 + i:02d}" for i in range(30)]
+    stamps[2] = "x" * 200000
+    inp = write_data(tmp_path, stationary_gaussian(30, 2, seed=8), timestamps=stamps)
+    assert main([command, str(inp), *flags, *output_target(tmp_path, command)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {inp}, line 4: field larger than field limit (131072)\n")
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+def test_ipca_by_day_reads_a_table_with_a_byte_order_mark(tmp_path):
+    # the mark used to stay on "timestamp", so its stamps were parsed as numbers
+    stamps = [f"2021-01-{4 + i // 20:02d}T09:{30 + i % 20}" for i in range(60)]
+    twin = write_data(tmp_path, stationary_gaussian(60, 2, seed=8), timestamps=stamps)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + twin.read_bytes())
+    outputs = []
+    for inp in (twin, bom):
+        outputs.append(tmp_path / f"{inp.stem}_z.csv")
+        assert main(["ipca", str(inp), "--chunk-spec", "by=day", "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_ipca_unparseable_row_names_line(tmp_path, capsys):

@@ -328,6 +328,16 @@ def test_sample_covariance_accepts_constant_columns():
     assert np.array_equal(means, [2.0, -7.0]) and np.array_equal(q, np.zeros((2, 2)))
 
 
+def test_sample_covariance_zeroes_a_constant_column_whose_mean_does_not_round_back():
+    # the mean of seven 0.1s is not 0.1: its residue used to give 2.2e-34 in every entry
+    means, q = sample_covariance(np.full((7, 2), 0.1))
+    assert means[0] != 0.1 and np.array_equal(q, np.zeros((2, 2)))
+    x = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
+    q = sample_covariance(x)[1]
+    assert np.array_equal(q[0], [0.0, 0.0]) and np.array_equal(q[:, 0], [0.0, 0.0])
+    assert q[1, 1] == 28.0 / 6.0
+
+
 def test_sample_covariance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2 rows"):
         sample_covariance([[1.0, 2.0]])

@@ -68,7 +68,7 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     # exit 0: every error-* case exited 1 and every other case 0
     assert snapshot.main([str(out)]) == 0
     cases = [case for case, _ in snapshot.SYNTH + snapshot.COMMANDS]
-    assert len(cases) == 54
+    assert len(cases) == 56
     for case in cases:
         assert (out / f"{case}.exit").read_text() in ("0\n", "1\n")
         assert (out / f"{case}.stdout").exists()
@@ -90,6 +90,10 @@ def test_cli_snapshot_captures_every_command(tmp_path):
     assert (out / "error-ipca-out-of-order.stderr").read_text() == (
         "error: line 452: timestamp '2021-01-04T09:30:00' sorts before the previous chunk's "
         "'2021-01-07'; by=day needs rows in time order\n")
+    # a leading byte-order mark changes no output byte; an over-long field is named
+    assert (out / "ipca-bom-by-day.csv").read_bytes() == (out / "ipca-by-day.csv").read_bytes()
+    assert (out / "error-ipca-field-limit.stderr").read_text() == (
+        "error: long_field.csv, line 4: field larger than field limit (131072)\n")
     assert (out / "error-ipca-underflow.stderr").read_text().startswith(
         "error: chunk 0 (rows 1-200): sample covariance of the 200 x 4 input underflows float64")
     fine = (out / "error-estimate-alpha-fine-grid.stderr").read_text()
@@ -194,6 +198,18 @@ def test_loglik_timing_scores_both_grids_bit_identically(kernel_timing_result):
     ]
     assert all(row["bit_identical"] is True for row in table)
     assert_quartiles(table, ["this_ms", "baseline_ms"])
+
+
+def test_ewm_timing_adds_the_benchmark_rows_bit_identically(kernel_timing_result):
+    (row,) = kernel_timing_result["ewm"]
+    per_side = ["us_per_row", "us_per_row_q1", "us_per_row_q3", "steps_per_row", "fallbacks"]
+    assert set(row) == {"input", "rows", "speedup", "bit_identical",
+                        *(f"{side}_{key}" for side in ("this", "baseline") for key in per_side)}
+    assert (row["input"], row["rows"]) == ("ewm-online", 2800)
+    assert row["this_steps_per_row"] == row["baseline_steps_per_row"] >= 1
+    assert row["this_fallbacks"] == row["baseline_fallbacks"]
+    assert row["bit_identical"] is True
+    assert_quartiles([row], ["this_us_per_row", "baseline_us_per_row"])
 
 
 def assert_quartiles(table, keys):
