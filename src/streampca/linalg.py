@@ -196,19 +196,21 @@ def jacobi_eigh(a) -> EigenBasis:
 
 
 def sample_covariance(x) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized,
-    with a constant column's centred entries set to 0 (its mean need not round
-    back to its value).  Raises OverflowError, without a numpy warning, when finite
-    data overflow it, and FloatingPointError when the centred entries are not all
-    zero but all below 2^-511, so that their squares are subnormal or zero."""
+    """Column means and the unbiased (n-1 divisor) sample covariance, symmetrized.
+    A constant column's mean is its value (mean() need not round back to it, and
+    can overflow), so its centred entries are exactly 0.  Raises OverflowError,
+    without a numpy warning, when finite data overflow it, and FloatingPointError
+    when the centred entries are not all zero but all below 2^-511, so that their
+    squares are subnormal or zero."""
     mat = as_matrix(x, "X")
     n, p = mat.shape
     if n < 2:
         raise ValueError(f"sample covariance needs at least 2 rows, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = mat.mean(axis=0)
+        const = mat.max(axis=0) == mat.min(axis=0)
+        means[const] = mat[0, const]
         centered = mat - means
-        centered[:, mat.max(axis=0) == mat.min(axis=0)] = 0.0
         q = centered.T @ centered / (n - 1)
         q = (q + q.T) / 2.0
     if not np.isfinite(q).all():

@@ -467,6 +467,18 @@ def test_ipca_overflowing_covariance_fails_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "z.json").exists()
 
 
+def test_ipca_on_a_constant_table_whose_sum_overflows_scores_zeros(tmp_path):
+    # three rows of 1e308: the column means used to be inf, so the scores came
+    # out -inf and nan with a numpy warning and exit 0
+    inp = write_data(tmp_path, np.full((3, 2), 1e308))
+    out = tmp_path / "z.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ipca", str(inp), "--chunk-spec", "chunk=3", "--output", str(out)]) == 0
+    assert np.array_equal(read_table(out).data, np.zeros((3, 2)))
+    assert json.loads((tmp_path / "z.json").read_text())["eigenvalues"] == [[0.0, 0.0]]
+
+
 def overflowing_tail():
     # 600 x 3, the last 300 rows scaled by 1e78: the covariance entries stay
     # finite (~1e156), their Frobenius norm does not

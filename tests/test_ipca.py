@@ -97,6 +97,13 @@ def test_transform_mean_row_maps_to_zero():
     assert np.max(np.abs(out)) <= 1e-14
 
 
+def test_transform_scores_a_constant_column_exactly_zero():
+    # [0.1 | 0, 1, ..., 6]: the mean of the 0.1s used to leave 1.39e-17 on every row
+    x = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
+    z = IteratedPCA().fit_transform(x)
+    assert np.array_equal(z[:, 1], np.zeros(7)) and np.array_equal(np.abs(z[:, 0]), np.abs(x[:, 1] - 3.0))
+
+
 def test_transform_identity_basis_zero_means_is_passthrough():
     model = IteratedPCA().fit(diag_4_1_rows())
     rng = np.random.default_rng(8)

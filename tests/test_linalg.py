@@ -329,13 +329,23 @@ def test_sample_covariance_accepts_constant_columns():
 
 
 def test_sample_covariance_zeroes_a_constant_column_whose_mean_does_not_round_back():
-    # the mean of seven 0.1s is not 0.1: its residue used to give 2.2e-34 in every entry
+    # mean() of seven 0.1s is not 0.1: its residue used to give 2.2e-34 in every entry
+    assert np.full(7, 0.1).mean() != 0.1
     means, q = sample_covariance(np.full((7, 2), 0.1))
-    assert means[0] != 0.1 and np.array_equal(q, np.zeros((2, 2)))
+    assert np.array_equal(means, [0.1, 0.1]) and np.array_equal(q, np.zeros((2, 2)))
     x = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
     q = sample_covariance(x)[1]
     assert np.array_equal(q[0], [0.0, 0.0]) and np.array_equal(q[:, 0], [0.0, 0.0])
     assert q[1, 1] == 28.0 / 6.0
+
+
+def test_sample_covariance_gives_a_constant_column_whose_sum_overflows_its_value():
+    # mean() of two 1e308s is inf; zeroing the centred entries after the fact
+    # returned that inf as the mean, and transform then scored -inf and nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, q = sample_covariance(np.full((2, 2), 1e308))
+    assert np.array_equal(means, [1e308, 1e308]) and np.array_equal(q, np.zeros((2, 2)))
 
 
 def test_sample_covariance_needs_two_rows():
